@@ -132,19 +132,22 @@ class BigramAssocModel:
                 raise ValueError(f"bigram model line {lineno}: expected {tag!r} header")
             return fields[1]
 
-        scorer = expect("scorer")
-        if scorer not in SCORERS:
-            raise ValueError(f"unknown scorer kind {scorer!r}")
-        scores = {}
-        for _ in range(int(expect("pairs"))):
-            lineno, line = next(it)
-            head, dep, val = line.split("\t")
-            scores.setdefault(head, {})[dep] = float(val)
-        thresholds = {}
-        for _ in range(int(expect("thresholds"))):
-            lineno, line = next(it)
-            head, hi_cut, mi_cut = line.split("\t")
-            thresholds[head] = (float(hi_cut), float(mi_cut))
+        try:
+            scorer = expect("scorer")
+            if scorer not in SCORERS:
+                raise ValueError(f"unknown scorer kind {scorer!r}")
+            scores = {}
+            for _ in range(int(expect("pairs"))):
+                lineno, line = next(it)
+                head, dep, val = line.split("\t")
+                scores.setdefault(head, {})[dep] = float(val)
+            thresholds = {}
+            for _ in range(int(expect("thresholds"))):
+                lineno, line = next(it)
+                head, hi_cut, mi_cut = line.split("\t")
+                thresholds[head] = (float(hi_cut), float(mi_cut))
+        except StopIteration:
+            raise ValueError(f"bigram model ends early, after line {len(lines)}") from None
         return cls(scorer, scores, thresholds)
 
 

@@ -7,14 +7,18 @@ level comes from the DISCOPARSE_LOG environment variable only.
 """
 
 import argparse
+import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
 import sys
 from collections import Counter
+from itertools import zip_longest
+from pathlib import Path
 
-from .bigrams import SCORERS, count_pairs, score_counts
+from .bigrams import SCORERS, BigramAssocModel, count_pairs, score_counts
 from .clusters import load_clusters
 from .engine import EasyFirstParser, label_inventory
 from .evaluate import EvalConfig, evaluate
@@ -45,9 +49,6 @@ logger = logging.getLogger("discoparse")
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
-
-CLUSTER_KINDS_DEFAULT = "full,6bit"
-
 
 def _setup_logging():
     name = os.environ.get("DISCOPARSE_LOG", "INFO").upper()
@@ -86,7 +87,7 @@ _OPTION_DEFAULTS = {
     "clusters": None,
     "bigrams": None,
     "tags": None,
-    "cluster_kinds": CLUSTER_KINDS_DEFAULT,
+    "cluster_kinds": "full,6bit",
     "maxlen": None,
     "min_count": 2,
     "score": "ll",
@@ -145,10 +146,6 @@ def write_trees(trees, path, fmt=None, header=None):
     writer(trees, path, header=header)
 
 
-def _load_tagclass(path):
-    return TagClassification.load(path) if path else None
-
-
 # ------------------------------------------------------------ subcommands
 
 def cmd_induce_heads(args) -> int:
@@ -189,21 +186,53 @@ def _lambda_for(store, preset, n_sentences):
     return store.lam
 
 
-def _feature_config(opts, have_clusters):
-    kinds = ()
-    if have_clusters:
-        kinds = tuple(k.strip() for k in opts["cluster_kinds"].split(",") if k.strip())
-    return FeatureConfig(dim=opts["dim"], cluster_kinds=kinds)
+def _resource_paths(args, opts):
+    return {"head_table": args.head_table, "tags": opts["tags"],
+            "clusters": opts["clusters"], "bigrams": opts["bigrams"]}
 
 
-def _build_parser_parts(opts, table, store, labels):
-    tagclass = _load_tagclass(opts["tags"])
-    lexicon = load_clusters(opts["clusters"]) if opts["clusters"] else None
-    from .bigrams import BigramAssocModel
-    model = BigramAssocModel.load(opts["bigrams"]) if opts["bigrams"] else None
-    feat = _feature_config(opts, lexicon is not None)
-    return EasyFirstParser(store, feat, table, labels, tagclass=tagclass,
-                           lexicon=lexicon, bigram_model=model), feat
+def _build_parser(store, feat, labels, blobs):
+    """The parser over ``store`` with its resources read from ``blobs``,
+    resource name -> file bytes as a model file bundles them."""
+    def load(name, loader):
+        if name in blobs:
+            return loader(io.TextIOWrapper(io.BytesIO(blobs[name]), encoding="utf-8"))
+    return EasyFirstParser(store, feat, load("head_table", HeadTable.load), labels,
+                           tagclass=load("tags", TagClassification.load),
+                           lexicon=load("clusters", load_clusters),
+                           bigram_model=load("bigrams", BigramAssocModel.load))
+
+
+def load_parser(path):
+    """Rebuild the parser a model file was trained as, from that file alone."""
+    store = WeightStore.load(path)
+    meta = store.extra
+    if not meta.get("labels") or "head_table" not in store.blobs:
+        raise ValueError(f"{path}: model file carries no label inventory "
+                         "or no head table")
+    fc = meta["feature_config"]
+    feat = FeatureConfig(**{**fc, "cluster_kinds": tuple(fc["cluster_kinds"])})
+    return _build_parser(store, feat, meta["labels"], store.blobs)
+
+
+def _content_lines(lines):
+    return (line.rstrip(b"\r\n") for line in lines if not line.startswith(b"#"))
+
+
+def _check_resources(bundled, paths):
+    """A resource file given at parse time must have the lines of the one
+    in the model, so a model never parses with other resources.  "#" lines
+    (the "# config" header records how a file was made) are not compared."""
+    for name, path in paths.items():
+        if not path:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if name not in bundled:
+            raise ValueError(f"{flag} {path}: the model was trained without one")
+        with open(path, "rb") as f:
+            pairs = zip_longest(_content_lines(f), _content_lines(io.BytesIO(bundled[name])))
+            if any(a != b for a, b in pairs):
+                raise ValueError(f"{flag} {path} differs from the file trained with")
 
 
 def cmd_train(args) -> int:
@@ -214,12 +243,16 @@ def cmd_train(args) -> int:
     trees = read_trees(args.treebank, opts["format"])
     if not trees:
         raise ValueError("training treebank is empty")
-    table = HeadTable.load(args.head_table)
+    blobs = {name: Path(path).read_bytes()
+             for name, path in _resource_paths(args, opts).items() if path}
     store = WeightStore(opts["dim"], eta=opts["eta"], delta=opts["delta"])
     lam = _lambda_for(store, opts["l1"], len(trees))
     logger.info("l1 strength %s -> lambda %.3g", opts["l1"], lam)
     labels = label_inventory(trees)
-    parser, feat = _build_parser_parts(opts, table, store, labels)
+    kinds = opts["cluster_kinds"].split(",") if "clusters" in blobs else ()
+    feat = FeatureConfig(dim=opts["dim"],
+                         cluster_kinds=tuple(k.strip() for k in kinds if k.strip()))
+    parser = _build_parser(store, feat, labels, blobs)
 
     if opts["dev"]:
         dev = read_trees(opts["dev"], opts["format"])
@@ -237,15 +270,11 @@ def cmd_train(args) -> int:
                  continue_after_error=opts["continue_after_error"])
     extra = {
         "labels": list(labels),
-        "feature_config": {"dim": feat.dim,
-                           "cluster_kinds": list(feat.cluster_kinds),
-                           "pair_minus1_0": feat.pair_minus1_0,
-                           "literal_duplicate_ww": feat.literal_duplicate_ww,
-                           "lemma_templates": feat.lemma_templates},
+        "feature_config": dataclasses.asdict(feat),
         "sentences": len(trees),
     }
     store.save(args.model, config_digest=f"{config_digest(feat)}:{digest}",
-               extra=extra)
+               extra=extra, blobs=blobs)
     print(f"model: {store.nonzero_count()} nonzero weights -> {args.model}")
     return EXIT_OK
 
@@ -253,27 +282,12 @@ def cmd_train(args) -> int:
 def cmd_parse(args) -> int:
     opts = merge_options(args, ["format", "clusters", "bigrams", "tags"])
     digest = run_digest("parse", opts)
-    store = WeightStore.load(args.model)
-    meta = store.extra
-    if not meta.get("labels"):
-        raise ValueError("model file carries no label inventory")
-    table = HeadTable.load(args.head_table)
-    fc = meta["feature_config"]
-    feat = FeatureConfig(dim=fc["dim"], cluster_kinds=tuple(fc["cluster_kinds"]),
-                         pair_minus1_0=fc["pair_minus1_0"],
-                         literal_duplicate_ww=fc["literal_duplicate_ww"],
-                         lemma_templates=fc["lemma_templates"])
-    tagclass = _load_tagclass(opts["tags"])
-    lexicon = load_clusters(opts["clusters"]) if opts["clusters"] else None
-    from .bigrams import BigramAssocModel
-    model = BigramAssocModel.load(opts["bigrams"]) if opts["bigrams"] else None
-    parser = EasyFirstParser(store, feat, table, meta["labels"],
-                             tagclass=tagclass, lexicon=lexicon,
-                             bigram_model=model)
+    parser = load_parser(args.model)
+    _check_resources(parser.store.blobs, _resource_paths(args, opts))
     trees = read_trees(args.input, opts["format"], strict=args.strict)
     preds = [parser.parse_tokens(t.tokens, sent_id=t.sent_id) for t in trees]
     write_trees(preds, args.output, opts["format"],
-                header=f"config {store.config_digest}:{digest}")
+                header=f"config {parser.store.config_digest}:{digest}")
     print(f"parsed {len(preds)} sentences -> {args.output}")
     return EXIT_OK
 
@@ -283,7 +297,7 @@ def cmd_eval(args) -> int:
     digest = run_digest("eval", opts)
     golds = read_trees(args.gold, opts["format"])
     preds = read_trees(args.pred, opts["format"])
-    tagclass = _load_tagclass(opts["tags"])
+    tagclass = TagClassification.load(opts["tags"]) if opts["tags"] else None
     if args.drop_punct and tagclass is None:
         raise ValueError("--drop-punct needs --tags CLASSFILE")
     cfg = EvalConfig(
@@ -375,10 +389,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--head-table", required=True)
-    p.add_argument("--tags")
-    p.add_argument("--clusters")
-    p.add_argument("--bigrams")
+    p.add_argument("--head-table", help="check: the head table trained with")
+    p.add_argument("--tags", help="check: the tag classification trained with")
+    p.add_argument("--clusters", help="check: the cluster paths file trained with")
+    p.add_argument("--bigrams", help="check: the bigram model trained with")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_parse)
 

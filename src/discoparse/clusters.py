@@ -14,7 +14,6 @@ UNK = "*UNK*"
 FULL = "full"
 SIX_BIT = "6bit"
 FOUR_BIT = "4bit"
-KIND_BITS = {SIX_BIT: 6, FOUR_BIT: 4}
 
 
 def prefix(path, bits):
@@ -36,14 +35,6 @@ class ClusterLexicon:
 
     def lookup(self, form) -> str:
         return self.paths.get(form, UNK)
-
-    def lookup_prefix(self, form, bits) -> str:
-        return prefix(self.lookup(form), bits)
-
-    def kind_value(self, form, kind) -> str:
-        if kind == FULL:
-            return self.lookup(form)
-        return prefix(self.lookup(form), KIND_BITS[kind])
 
     def __len__(self):
         return len(self.paths)

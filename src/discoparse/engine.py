@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureExtractor, make_phrase_view, make_terminal_view, window
-from .treebank import ConstTree, Node, block_count
-
-FALLBACK_ROOT = "VROOT"
+from .treebank import FALLBACK_ROOT, ConstTree, Node
 
 LEFT = "left"
 RIGHT = "right"
@@ -141,7 +139,7 @@ def label_inventory(trees) -> list:
     return sorted(labels)
 
 
-def _surface_head(table, label, parts, tokens, lexicon, default_head):
+def _surface_head(table, label, parts, default_head):
     """Head token for a phrase over ``parts``, by table lookup over the
     surface-ordered child labels; the caller's default wins on a miss."""
     ordered = sorted(parts, key=lambda p: p.min_orig)
@@ -149,7 +147,7 @@ def _surface_head(table, label, parts, tokens, lexicon, default_head):
     return ordered[k].head_token if k is not None else default_head
 
 
-def apply_action(state, i, action, table, tokens, tagclass=None, lexicon=None) -> list:
+def apply_action(state, i, action, table, tokens, lexicon=None) -> list:
     """Transition function; returns a fresh state list."""
     if action.kind == SWAP:
         if not state[i].min_orig < state[i + 1].min_orig:
@@ -171,16 +169,14 @@ def apply_action(state, i, action, table, tokens, tagclass=None, lexicon=None) -
     left, right = state[i], state[i + 1]
     if action.kind == BUILD:
         default = (left if action.side == LEFT else right).head_token
-        head = _surface_head(table, action.label, (left, right), tokens,
-                             lexicon, default)
+        head = _surface_head(table, action.label, (left, right), default)
         node = _phrase(action.label, (left, right), head, 0, tokens, lexicon)
     else:
         absorber, absorbed = (right, left) if action.side == LEFT else (left, right)
         if not absorber.is_phrase:
             raise ValueError("attach target is not a constituent")
         parts = absorber.children + (absorbed,)
-        head = _surface_head(table, absorber.label, parts, tokens, lexicon,
-                             absorber.head_token)
+        head = _surface_head(table, absorber.label, parts, absorber.head_token)
         node = _phrase(absorber.label, parts, head, 0, tokens, lexicon)
     new = list(state)
     new[i:i + 2] = [node]
@@ -198,7 +194,7 @@ def _phrase(label, children, head_token, unary_chain, tokens, lexicon):
         yield_set=yset,
         min_orig=min(c.min_orig for c in children),
         unary_chain=unary_chain,
-        view=make_phrase_view(label, tokens[head_token], block_count(yset), lexicon),
+        view=make_phrase_view(label, tokens[head_token], lexicon),
     )
 
 
@@ -451,14 +447,14 @@ class EasyFirstParser:
         matrix = np.stack(rows)
         return _PositionEntry(tuple(actions), matrix, self.store.score_rows(matrix))
 
-    def _refresh(self, entries, state, views, lo, hi):
-        for i in range(max(0, lo), min(len(state), hi)):
+    def _refresh(self, entries, lo, hi):
+        for i in range(max(0, lo), min(len(entries), hi)):
             entries[i] = None
 
     def _advance(self, entries, state, views, i, action):
         """Apply and splice the caches exactly like the state."""
         new_state = apply_action(state, i, action, self.table,
-                                 self._tokens, self.tagclass, self.lexicon)
+                                 self._tokens, self.lexicon)
         if action.kind == SWAP:
             views[i], views[i + 1] = views[i + 1], views[i]
             entries[i], entries[i + 1] = entries[i + 1], entries[i]
@@ -470,7 +466,7 @@ class EasyFirstParser:
             views[i:i + 2] = [new_state[i].view]
             entries[i:i + 2] = [None]
             lo, hi = i - 2, i + 2
-        self._refresh(entries, new_state, views, lo, hi)
+        self._refresh(entries, lo, hi)
         return new_state
 
     def _decode(self, tokens, on_step=None):
@@ -512,10 +508,6 @@ class EasyFirstParser:
     def parse_tokens(self, tokens, sent_id="") -> ConstTree:
         state, _ = self._decode(tokens, None)
         return state_to_tree(state, tokens, sent_id=sent_id)
-
-    def parse_tree(self, tree) -> ConstTree:
-        """Re-parse the terminals of a gold tree (evaluation helper)."""
-        return self.parse_tokens(tree.tokens, sent_id=tree.sent_id)
 
     def train(self, trees, epochs=15, seed=42, epoch_hook=None,
               continue_after_error=False) -> dict:

@@ -29,10 +29,9 @@ class NodeView:
     head_lemma: str
     cluster_full: str
     cluster_6: str
-    block_degree: int
 
 
-BOUNDARY = NodeView("<B>", "<B>", "<B>", "<B>", "<B>", 0)
+BOUNDARY = NodeView("<B>", "<B>", "<B>", "<B>", "<B>")
 
 
 def terminal_category(tag, form, tagclass):
@@ -50,11 +49,10 @@ def make_terminal_view(token, tagclass=None, lexicon=None) -> NodeView:
         head_lemma=token.lemma or token.form,
         cluster_full=full,
         cluster_6=clusters.prefix(full, 6),
-        block_degree=1,
     )
 
 
-def make_phrase_view(label, head_token, block_degree, lexicon=None) -> NodeView:
+def make_phrase_view(label, head_token, lexicon=None) -> NodeView:
     full = lexicon.lookup(head_token.form) if lexicon is not None else UNK
     return NodeView(
         category=label,
@@ -62,7 +60,6 @@ def make_phrase_view(label, head_token, block_degree, lexicon=None) -> NodeView:
         head_lemma=head_token.lemma or head_token.form,
         cluster_full=full,
         cluster_6=clusters.prefix(full, 6),
-        block_degree=block_degree,
     )
 
 
@@ -191,9 +188,6 @@ class FeatureExtractor:
         self.model = bigram_model
         self._memo = {}
 
-    def extract(self, views, action_id) -> np.ndarray:
-        return self.extract_many(views, (action_id,))[0]
-
     def extract_many(self, views, action_ids) -> list:
         tpls = template_parts(views, self.config, self.model)
         dim = self.config.dim
@@ -210,8 +204,3 @@ class FeatureExtractor:
                 row[j] = idx
             out.append(row)
         return out
-
-
-def extract(views, action_id, config, model=None) -> np.ndarray:
-    """One-shot extraction; see FeatureExtractor for the memoized path."""
-    return FeatureExtractor(config, model).extract(views, action_id)

@@ -78,7 +78,6 @@ class HeadTable:
     """
 
     rules: dict = field(default_factory=dict)
-    fallback: str = LTR
 
     def find_head_child(self, parent_label, child_labels, default=0):
         """Index of the head child, or ``default`` when no rule matches."""
@@ -169,7 +168,7 @@ def _induce_order(instances):
     return order
 
 
-def induce_head_table(corpus, fallback=LTR, stats_out=None) -> HeadTable:
+def induce_head_table(corpus, stats_out=None) -> HeadTable:
     """Induce a head table from an ``AlignedCorpus``.
 
     ``stats_out``, when given, receives per-parent conflict statistics as a
@@ -199,7 +198,7 @@ def induce_head_table(corpus, fallback=LTR, stats_out=None) -> HeadTable:
             else:
                 lines.append([direction, [lab]])
         rules[parent] = [(direction, labels) for direction, labels in lines]
-    return HeadTable(rules, fallback=fallback)
+    return HeadTable(rules)
 
 
 # ----------------------------------------------------- tag classification

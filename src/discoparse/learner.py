@@ -6,6 +6,7 @@ coordinates at the moment they are updated.
 """
 
 import json
+import zipfile
 
 import numpy as np
 
@@ -29,6 +30,7 @@ class WeightStore:
         self.gradsq = np.zeros(dim, dtype=self.dtype)
         self.config_digest = ""
         self.extra = {}
+        self.blobs = {}
 
     def set_lambda_from_corpus(self, n_sentences, numerator=0.001):
         """The per-corpus L1 strength; numerator 0.001 is the good setting,
@@ -43,11 +45,6 @@ class WeightStore:
         # is the default path
         self.lam = factor / self.dim
         return self.lam
-
-    def score(self, fv) -> float:
-        if len(fv) == 0:
-            return 0.0
-        return float(self.weights[fv].sum(dtype=np.float64))
 
     def score_rows(self, rows) -> np.ndarray:
         """Row-wise scores for a 2D index matrix."""
@@ -89,8 +86,10 @@ class WeightStore:
     def nonzero_count(self) -> int:
         return int(np.count_nonzero(self.weights))
 
-    def save(self, path, config_digest="", include_accumulators=True,
-             extra=None):
+    def save(self, path, config_digest="", extra=None, blobs=None):
+        """Write the nonzero weights as (index, value) arrays, JSON metadata
+        with ``extra`` and each of ``blobs`` (name -> bytes) as a byte array.
+        Without the AdaGrad accumulators, a loaded store cannot resume training."""
         meta = json.dumps({
             "dim": self.dim,
             "eta": self.eta,
@@ -100,21 +99,36 @@ class WeightStore:
             "config_digest": config_digest,
             "extra": extra or {},
         })
-        arrays = {"weights": self.weights, "meta": np.frombuffer(
-            meta.encode("utf-8"), dtype=np.uint8)}
-        if include_accumulators:
-            arrays["gradsq"] = self.gradsq
-        np.savez_compressed(path, **arrays)
+        index = np.flatnonzero(self.weights)
+        arrays = {"blob_" + name: np.frombuffer(b, dtype=np.uint8)
+                  for name, b in (blobs or {}).items()}
+        np.savez(path, index=index, value=self.weights[index],
+                 meta=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8), **arrays)
 
     @classmethod
     def load(cls, path):
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            store = cls(meta["dim"], eta=meta["eta"], lam=meta["lam"],
-                        delta=meta["delta"], dtype=np.dtype(meta["dtype"]))
-            store.weights = data["weights"].astype(store.dtype, copy=False)
-            if "gradsq" in data:
-                store.gradsq = data["gradsq"].astype(store.dtype, copy=False)
-            store.config_digest = meta.get("config_digest", "")
-            store.extra = meta.get("extra", {})
+        """Rebuild the dense weights of a file written by ``save``; files
+        that are not such a model raise ``ValueError``."""
+        try:
+            with np.load(path) as data:
+                if "weights" in data.files:
+                    raise ValueError(f"{path}: dense model file of an older "
+                                     "version; train the model again")
+                meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+                index = data["index"]
+                value = data["value"]
+                blobs = {name[5:]: data[name].tobytes() for name in data.files
+                         if name.startswith("blob_")}
+        except (zipfile.BadZipFile, EOFError, KeyError) as e:
+            raise ValueError(f"{path}: not a readable model file ({e})") from e
+        store = cls(meta["dim"], eta=meta["eta"], lam=meta["lam"],
+                    delta=meta["delta"], dtype=np.dtype(meta["dtype"]))
+        if (index.ndim != 1 or index.shape != value.shape or index.dtype.kind not in "iu"
+                or index.size and (index.min() < 0 or index.max() >= store.dim)
+                or np.unique(index).size != index.size):
+            raise ValueError(f"{path}: weight indices malformed, out of range or repeated")
+        store.weights[index] = value
+        store.config_digest = meta.get("config_digest", "")
+        store.extra = meta.get("extra", {})
+        store.blobs = blobs
         return store

@@ -105,9 +105,6 @@ class ConstTree:
     def root(self) -> Node:
         return self.nodes[self.root_id]
 
-    def is_node(self, ident) -> bool:
-        return ident in self.nodes
-
     def leaves_of(self, ident) -> frozenset:
         if ident in self.nodes:
             return self.nodes[ident].leaves

@@ -1,6 +1,8 @@
 import argparse
+import json
 import random
 
+import numpy as np
 import pytest
 
 from discoparse import cli
@@ -164,3 +166,125 @@ def test_config_file_drives_training(toy_files, tmp_path):
     assert store.dim == 2 ** 16
     assert store.lam == pytest.approx(0.1 / 30)
     assert store.extra["labels"] == ["NP", "PP", "S", "VP"]
+
+
+@pytest.fixture(scope="module")
+def trained_models(toy_files):
+    """Toy models trained through the CLI, one on the head table alone and
+    one with tags, clusters and bigrams, each with the in-memory parser as
+    training left it and held-out sentences parsed by that parser."""
+    root = toy_files["root"]
+    forms = sorted({t.form for tree in toy_files["trees"] for t in tree.tokens})
+    clusters = root / "paths.txt"
+    clusters.write_text("".join(f"{k % 64 + 64:b}\t{form}\t{k + 1}\n"
+                                for k, form in enumerate(forms)))
+    bigrams = root / "assoc.txt"
+    assert cli.main(["bigram-build", str(toy_files["conll"]), str(bigrams)]) == 0
+    held = root / "held.export"
+    write_export([t for t, _ in toy_corpus(12, random.Random(99))], held)
+    flags = {"plain": ["--head-table", str(toy_files["table"])],
+             "rich": ["--head-table", str(toy_files["table"]),
+                      "--tags", str(toy_files["tags"]),
+                      "--clusters", str(clusters), "--bigrams", str(bigrams)]}
+    trained = []
+
+    class Recording(cli.EasyFirstParser):
+        def train(self, *args, **kwargs):
+            trained.append(self)
+            return super().train(*args, **kwargs)
+
+    out = {"held": held, "clusters": clusters, "bigrams": bigrams, "flags": flags}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "EasyFirstParser", Recording)
+        for name, extra in flags.items():
+            model = root / f"{name}.npz"
+            rc = cli.main(["train", str(toy_files["const"]), "--model", str(model),
+                           "--epochs", "3", "--dim", str(2 ** 16), *extra])
+            assert rc == 0
+            parser = trained.pop()
+            preds = [parser.parse_tokens(t.tokens, sent_id=t.sent_id)
+                     for t in read_export(held)]
+            expected = root / f"{name}.expected.export"
+            write_export(preds, expected)
+            out[name] = {"model": model, "expected": expected, "parser": parser}
+    return out
+
+
+def _trees_text(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("%%")]
+
+
+@pytest.mark.parametrize("name", ["plain", "rich"])
+def test_parse_needs_only_the_model(trained_models, tmp_path, name):
+    got = trained_models[name]
+    parser = cli.load_parser(got["model"])
+    assert parser.extractor.config == got["parser"].extractor.config
+    assert (parser.lexicon is None) == (name == "plain")
+    out = tmp_path / "pred.export"
+    rc = cli.main(["parse", str(got["model"]), str(trained_models["held"]), str(out)])
+    assert rc == 0
+    assert _trees_text(out) == _trees_text(got["expected"])
+    again = tmp_path / "again.export"
+    rc = cli.main(["parse", str(got["model"]), str(trained_models["held"]), str(again),
+                   *trained_models["flags"][name]])
+    assert rc == 0
+    assert _trees_text(again) == _trees_text(got["expected"])
+
+
+def test_parse_rejects_mismatched_resources(trained_models, tmp_path):
+    held, out = str(trained_models["held"]), str(tmp_path / "pred.export")
+    lines = trained_models["clusters"].read_text().splitlines(keepends=True)
+    changed = tmp_path / "changed_paths.txt"
+    changed.write_text("".join(lines[:3] + ["0\t" + lines[3].split("\t", 1)[1]] + lines[4:]))
+    rich, plain = str(trained_models["rich"]["model"]), str(trained_models["plain"]["model"])
+    assert cli.main(["parse", rich, held, out, "--clusters", str(changed)]) == 1
+    assert cli.main(["parse", plain, held, out,
+                     "--bigrams", str(trained_models["bigrams"])]) == 1
+    assert not (tmp_path / "pred.export").exists()
+
+
+def test_parse_ignores_resource_comment_lines(trained_models, toy_files, tmp_path):
+    lines = toy_files["table"].read_text().splitlines(keepends=True)
+    assert lines[0].startswith("# config ")
+    table = tmp_path / "heads.txt"
+    table.write_text("# config made another way\n" + "".join(lines[1:]))
+    out = tmp_path / "pred.export"
+    rc = cli.main(["parse", str(trained_models["plain"]["model"]),
+                   str(trained_models["held"]), str(out), "--head-table", str(table)])
+    assert rc == 0
+    assert _trees_text(out) == _trees_text(trained_models["plain"]["expected"])
+
+
+def test_parse_refuses_dense_model(trained_models, tmp_path):
+    store = trained_models["plain"]["parser"].store
+    meta = {"dim": store.dim, "eta": store.eta, "lam": store.lam, "delta": store.delta,
+            "dtype": store.dtype.name, "config_digest": "",
+            "extra": {"labels": list(trained_models["plain"]["parser"].inventory.labels),
+                      "feature_config": {"dim": store.dim, "cluster_kinds": [],
+                                         "pair_minus1_0": True,
+                                         "literal_duplicate_ww": False,
+                                         "lemma_templates": False}}}
+    dense = tmp_path / "dense.npz"
+    np.savez_compressed(dense, weights=store.weights, gradsq=store.gradsq,
+                        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+    assert cli.main(["parse", str(dense), str(trained_models["held"]),
+                     str(tmp_path / "pred.export")]) == 1
+
+
+def test_parse_truncated_model_exits_1(trained_models, tmp_path):
+    data = trained_models["plain"]["model"].read_bytes()
+    cut = tmp_path / "cut.npz"
+    cut.write_bytes(data[:len(data) // 2])
+    assert cli.main(["parse", str(cut), str(trained_models["held"]),
+                     str(tmp_path / "pred.export")]) == 1
+
+
+def test_train_truncated_bigrams_exits_1(toy_files, trained_models, tmp_path):
+    lines = trained_models["bigrams"].read_text().splitlines(keepends=True)
+    cut = tmp_path / "assoc.txt"
+    cut.write_text("".join(lines[:len(lines) // 2]))
+    assert cli.main(["train", str(toy_files["const"]),
+                     "--head-table", str(toy_files["table"]),
+                     "--model", str(tmp_path / "m.npz"), "--epochs", "1",
+                     "--dim", str(2 ** 16), "--bigrams", str(cut)]) == 1
+

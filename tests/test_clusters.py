@@ -14,6 +14,8 @@ from discoparse.clusters import (
     load_clusters,
     prefix,
 )
+from discoparse.features import _kind_value, make_terminal_view
+from discoparse.treebank import Token
 
 
 def test_load_and_lookup():
@@ -40,11 +42,13 @@ def test_prefix_examples():
 
 def test_kind_values():
     lex = ClusterLexicon({"Haus": "0110101"})
-    assert lex.kind_value("Haus", FULL) == "0110101"
-    assert lex.kind_value("Haus", SIX_BIT) == "011010"
-    assert lex.kind_value("Haus", FOUR_BIT) == "0110"
-    assert lex.kind_value("weg", FULL) == UNK
-    assert lex.kind_value("weg", SIX_BIT) == UNK
+    haus = make_terminal_view(Token(0, "Haus", pos="NN"), lexicon=lex)
+    weg = make_terminal_view(Token(1, "weg", pos="ADV"), lexicon=lex)
+    assert _kind_value(haus, FULL) == "0110101"
+    assert _kind_value(haus, SIX_BIT) == "011010"
+    assert _kind_value(haus, FOUR_BIT) == "0110"
+    assert _kind_value(weg, FULL) == UNK
+    assert _kind_value(weg, SIX_BIT) == UNK
 
 
 def test_malformed_lines_skipped_or_strict():

@@ -340,8 +340,8 @@ def test_parse_deterministic():
 class _NoCacheParser(EasyFirstParser):
     """Recomputes every position after every action."""
 
-    def _refresh(self, entries, state, views, lo, hi):
-        entries[:] = [None] * len(state)
+    def _refresh(self, entries, lo, hi):
+        entries[:] = [None] * len(entries)
 
 
 @pytest.mark.parametrize("seed", [41, 42])

@@ -12,7 +12,6 @@ from discoparse.features import (
     NodeView,
     _fnv1a,
     config_digest,
-    extract,
     hash_index,
     make_terminal_view,
     template_parts,
@@ -24,7 +23,11 @@ from discoparse.treebank import Token
 
 
 def view(cat, form="f"):
-    return NodeView(cat, form, form, UNK, UNK, 1)
+    return NodeView(cat, form, form, UNK, UNK)
+
+
+def extract_one(views, action_id, config, model=None):
+    return FeatureExtractor(config, model).extract_many(views, [action_id])[0]
 
 
 def views_for(cats):
@@ -76,47 +79,50 @@ def test_window_unaffected_by_distant_change():
 
 def test_template_count_supervised_only():
     cfg = FeatureConfig(dim=2 ** 16)
-    fv = extract(views_for("ABCD"), "BUILD:S:left", cfg)
+    fv = extract_one(views_for("ABCD"), "BUILD:S:left", cfg)
     assert len(fv) == 32
     assert all(0 <= i < cfg.dim for i in fv)
 
 
 def test_template_count_with_clusters():
     cfg = FeatureConfig(dim=2 ** 16, cluster_kinds=(FULL, SIX_BIT))
-    fv = extract(views_for("ABCD"), "A", cfg)
+    fv = extract_one(views_for("ABCD"), "A", cfg)
     assert len(fv) == 32 + 50
 
 
 def test_template_count_with_bigram_model():
     model = BigramAssocModel(RAW, {"w0": {"w1": 5.0}}, {"w0": quantile_cuts([5.0])})
     cfg = FeatureConfig(dim=2 ** 16)
-    fv = extract(views_for("ABCD"), "A", cfg, model)
+    fv = extract_one(views_for("ABCD"), "A", cfg, model)
     assert len(fv) == 32 + 12
 
 
 def test_template_count_toggles():
     no_pair = FeatureConfig(dim=2 ** 16, pair_minus1_0=False)
-    assert len(extract(views_for("ABCD"), "A", no_pair)) == 12 + 16
+    assert len(extract_one(views_for("ABCD"), "A", no_pair)) == 12 + 16
     lemmas = FeatureConfig(dim=2 ** 16, lemma_templates=True)
-    assert len(extract(views_for("ABCD"), "A", lemmas)) == 32 + 8 + 15
+    assert len(extract_one(views_for("ABCD"), "A", lemmas)) == 32 + 8 + 15
     dup = FeatureConfig(dim=2 ** 16, literal_duplicate_ww=True)
-    assert len(extract(views_for("ABCD"), "A", dup)) == 32
+    assert len(extract_one(views_for("ABCD"), "A", dup)) == 32
 
 
 def test_literal_duplicate_changes_indices():
     w = views_for("ABCD")
-    a = extract(w, "A", FeatureConfig(dim=2 ** 20))
-    b = extract(w, "A", FeatureConfig(dim=2 ** 20, literal_duplicate_ww=True))
+    a = extract_one(w, "A", FeatureConfig(dim=2 ** 20))
+    b = extract_one(w, "A", FeatureConfig(dim=2 ** 20, literal_duplicate_ww=True))
     assert not np.array_equal(a, b)
 
 
 def test_extraction_is_pure_and_deterministic():
     cfg = FeatureConfig(dim=2 ** 16, cluster_kinds=(FULL,))
     w = views_for("ABCD")
-    one = extract(w, "ATTACH:left", cfg)
-    two = FeatureExtractor(cfg).extract(w, "ATTACH:left")
-    three = FeatureExtractor(cfg).extract(dict(w), "ATTACH:left")
+    ex = FeatureExtractor(cfg)
+    one = ex.extract_many(w, ["ATTACH:left"])[0]
+    two = FeatureExtractor(cfg).extract_many(w, ["ATTACH:left"])[0]
+    three = FeatureExtractor(cfg).extract_many(dict(w), ["ATTACH:left"])[0]
+    again = ex.extract_many(w, ["ATTACH:left"])[0]
     assert np.array_equal(one, two) and np.array_equal(one, three)
+    assert np.array_equal(one, again)
 
 
 def test_extract_many_matches_single():
@@ -125,8 +131,9 @@ def test_extract_many_matches_single():
     w = views_for("ABCD")
     actions = ["BUILD:S:left", "BUILD:S:right", "SWAP"]
     rows = ex.extract_many(w, actions)
+    tpls = template_parts(w, cfg)
     for action, row in zip(actions, rows):
-        assert np.array_equal(row, extract(w, action, cfg))
+        assert row.tolist() == [hash_index(parts, action, cfg.dim) for parts in tpls]
 
 
 def test_fnv1a_reference_vectors():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -54,7 +55,7 @@ def test_duplicate_indices_accumulate():
     store.update([4, 4], [])
     # g=2, gradsq=4, step = 0.1*2/sqrt(5)
     assert store.weights[4] == pytest.approx(-0.2 / math.sqrt(5.0), abs=1e-15)
-    assert store.score([4, 4]) == pytest.approx(2 * store.weights[4])
+    assert store.score_rows(np.array([[4, 4]]))[0] == pytest.approx(2 * store.weights[4])
 
 
 def test_twenty_steps_match_scalar_reference():
@@ -71,14 +72,14 @@ def test_twenty_steps_match_scalar_reference():
 
 def test_scoring():
     store = WeightStore(16, dtype=np.float64)
-    assert store.score([]) == 0.0
+    assert store.score_rows(np.empty((1, 0), dtype=np.int64))[0] == 0.0
     store.update([1], [2])
-    before = store.score([1, 2])
+    before = store.score_rows(np.array([[1, 2]]))[0]
     store.update([7], [8])
-    assert store.score([1, 2]) == before
+    assert store.score_rows(np.array([[1, 2]]))[0] == before
     rows = np.array([[1, 2], [7, 8], [1, 1]])
     got = store.score_rows(rows)
-    assert got[0] == pytest.approx(store.score([1, 2]))
+    assert got[0] == pytest.approx(store.weights[1] + store.weights[2])
     assert got[2] == pytest.approx(2 * store.weights[1])
 
 
@@ -145,15 +146,25 @@ def test_save_load_roundtrip(tmp_path):
     for wrong, right in random_steps(rng, 50, n_coords=30):
         store.update(wrong, right)
     path = tmp_path / "model.npz"
-    store.save(path, config_digest="abc123def456")
+    blobs = {"head_table": "S\tleft-to-right\tVP\n\u00e4\n".encode("utf-8"), "tags": b""}
+    store.save(path, config_digest="abc123def456", blobs=blobs)
     back = WeightStore.load(path)
     assert back.dim == 32 and back.eta == 0.2 and back.lam == 0.003
     assert back.config_digest == "abc123def456"
     assert np.array_equal(back.weights, store.weights)
-    assert np.array_equal(back.gradsq, store.gradsq)
+    assert back.blobs == blobs
 
-    slim = tmp_path / "slim.npz"
-    store.save(slim, include_accumulators=False)
-    lean = WeightStore.load(slim)
-    assert np.array_equal(lean.weights, store.weights)
-    assert not lean.gradsq.any()
+
+def _write_model(path, meta, **arrays):
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+             **arrays)
+
+
+def test_load_rejects_bad_indices(tmp_path):
+    meta = {"dim": 16, "eta": 0.1, "lam": 0.0, "delta": 1.0, "dtype": "float32"}
+    value = np.ones(2, np.float32)
+    for index in ([3, 16], [-1, 3], [5, 5]):
+        bad = tmp_path / "bad.npz"
+        _write_model(bad, meta, index=np.array(index), value=value)
+        with pytest.raises(ValueError, match="out of range or repeated"):
+            WeightStore.load(bad)
