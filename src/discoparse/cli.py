@@ -211,6 +211,9 @@ def load_parser(path):
         raise ValueError(f"{path}: model file carries no label inventory "
                          "or no head table")
     fc = meta["feature_config"]
+    unknown = sorted(set(fc) - {f.name for f in dataclasses.fields(FeatureConfig)})
+    if unknown:
+        raise ValueError(f"{path}: unknown feature_config keys {unknown}")
     feat = FeatureConfig(**{**fc, "cluster_kinds": tuple(fc["cluster_kinds"])})
     return _build_parser(store, feat, meta["labels"], store.blobs)
 

@@ -3,11 +3,13 @@
 The state is an ordered sequence of immutable parse items.  Each step
 scores every applicable action at every adjacent position, applies the
 globally best one, and rescores only positions whose feature window the
-change could have touched.  Training replays gold actions until the
-first error, performs one update, and abandons the sentence.
+change could have touched.  One per-sentence decoder serves both
+parsing and training; training follows it while its best action is
+gold, updates once at the first error and by default stops there.
 """
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +131,16 @@ class ActionInventory:
                 if has_pair and left.min_orig < right.min_orig:
                     out.append(action)
         return out
+
+
+def _step_budget(n_tokens) -> int:
+    """Most actions one sentence may take, in decoding and in gold replay."""
+    return 4 * n_tokens ** 2 + 64
+
+
+def _move_order(move):
+    """Canonical move order: leftmost position first, then action order."""
+    return move[0], move[1].sort_key()
 
 
 def label_inventory(trees) -> list:
@@ -379,7 +391,7 @@ def replay_gold(tree, table, rng=None, inventory=None):
     oracle = GoldOracle(tree, table, inventory)
     state = initial_state(tree.tokens)
     actions_taken = 0
-    limit = 4 * len(tree.tokens) ** 2 + 64
+    limit = _step_budget(len(tree.tokens))
     while True:
         moves = oracle.gold_moves(state)
         if not moves:
@@ -387,9 +399,9 @@ def replay_gold(tree, table, rng=None, inventory=None):
         if actions_taken > limit:
             raise RuntimeError("gold replay exceeded the action budget")
         if rng is None:
-            i, action = min(moves, key=lambda m: (m[0], m[1].sort_key()))
+            i, action = min(moves, key=_move_order)
         else:
-            i, action = rng.choice(sorted(moves, key=lambda m: (m[0], m[1].sort_key())))
+            i, action = rng.choice(sorted(moves, key=_move_order))
         state = apply_action(state, i, action, table, tree.tokens)
         actions_taken += 1
     return state_to_tree(state, tree.tokens, sent_id=tree.sent_id), actions_taken
@@ -397,14 +409,56 @@ def replay_gold(tree, table, rng=None, inventory=None):
 
 # ---------------------------------------------------------------- parser
 
-class _PositionEntry:
-    __slots__ = ("actions", "rows", "scores", "index_of")
+_PositionEntry = namedtuple("_PositionEntry", "actions rows scores")
 
-    def __init__(self, actions, rows, scores):
-        self.actions = actions
-        self.rows = rows
-        self.scores = scores
-        self.index_of = {a.key: k for k, a in enumerate(actions)}
+
+class _Decoder:
+    """The greedy loop over one sentence: its state, the feature views and
+    cached position entries spliced alongside it, and its step budget."""
+
+    def __init__(self, parser, tokens):
+        self.parser = parser
+        self.tokens = tokens
+        self.state = initial_state(tokens, parser.tagclass, parser.lexicon)
+        self.views = [n.view for n in self.state]
+        self.entries = [None] * len(self.state)
+        self.steps_left = _step_budget(len(tokens))
+
+    def best(self):
+        """(i, entry, k) of the best-scoring action, the leftmost on a tie;
+        None once the state is finished, stuck or out of steps."""
+        state, views, entries = self.state, self.views, self.entries
+        if len(state) < 2 or self.steps_left <= 0:
+            return None
+        best, top = None, None
+        for i in range(len(state)):
+            if entries[i] is None:
+                entries[i] = self.parser._entry(state, views, i)
+            entry = entries[i]
+            if not entry.actions:
+                continue
+            k = int(np.argmax(entry.scores))
+            s = entry.scores[k]
+            if best is None or s > top:
+                best, top = (i, entry, k), s
+        return best
+
+    def apply(self, i, action):
+        """Apply, splice the views and entries exactly like the state, and
+        drop the entries of every position whose window the change reaches."""
+        parser, views, entries = self.parser, self.views, self.entries
+        self.state = state = apply_action(self.state, i, action, parser.table,
+                                          self.tokens, parser.lexicon)
+        self.steps_left -= 1
+        if action.kind == SWAP:
+            views[i], views[i + 1] = views[i + 1], views[i]
+            entries[i], entries[i + 1] = entries[i + 1], entries[i]
+        elif action.kind == UNARY:
+            views[i] = state[i].view
+        else:
+            views[i:i + 2] = [state[i].view]
+            entries[i:i + 2] = [None]
+        parser._refresh(entries, i - 2, i + 3 if action.kind == SWAP else i + 2)
 
 
 class EasyFirstParser:
@@ -451,70 +505,50 @@ class EasyFirstParser:
         for i in range(max(0, lo), min(len(entries), hi)):
             entries[i] = None
 
-    def _advance(self, entries, state, views, i, action):
-        """Apply and splice the caches exactly like the state."""
-        new_state = apply_action(state, i, action, self.table,
-                                 self._tokens, self.lexicon)
-        if action.kind == SWAP:
-            views[i], views[i + 1] = views[i + 1], views[i]
-            entries[i], entries[i + 1] = entries[i + 1], entries[i]
-            lo, hi = i - 2, i + 3
-        elif action.kind == UNARY:
-            views[i] = new_state[i].view
-            lo, hi = i - 2, i + 2
-        else:
-            views[i:i + 2] = [new_state[i].view]
-            entries[i:i + 2] = [None]
-            lo, hi = i - 2, i + 2
-        self._refresh(entries, lo, hi)
-        return new_state
-
-    def _decode(self, tokens, on_step=None):
-        """Greedy loop.  ``on_step`` sees (state, entries, best) before
-        each apply; it may return False to abandon the sentence or
-        ("redirect", i, action) to override the argmax."""
-        self._tokens = tokens
-        state = initial_state(tokens, self.tagclass, self.lexicon)
-        views = [n.view for n in state]
-        entries = [None] * len(state)
-        steps = 0
-        limit = 4 * len(tokens) ** 2 + 64
-        while len(state) > 1 and steps < limit:
-            best = None  # (score, i, entry, k); strict > keeps the leftmost tie
-            for i in range(len(state)):
-                if entries[i] is None:
-                    entries[i] = self._entry(state, views, i)
-                entry = entries[i]
-                if not entry.actions:
-                    continue
-                k = int(np.argmax(entry.scores))
-                s = entry.scores[k]
-                if best is None or s > best[0]:
-                    best = (s, i, entry, k)
-            if best is None:
-                break
-            verdict = True if on_step is None else on_step(state, entries, best)
-            if verdict is False:
-                break
-            if verdict is True:
-                _, i, entry, k = best
-                state = self._advance(entries, state, views, i, entry.actions[k])
-            else:
-                _, gi, gaction = verdict
-                state = self._advance(entries, state, views, gi, gaction)
-            steps += 1
-        return state, steps
-
     def parse_tokens(self, tokens, sent_id="") -> ConstTree:
-        state, _ = self._decode(tokens, None)
-        return state_to_tree(state, tokens, sent_id=sent_id)
+        dec = _Decoder(self, tokens)
+        while (best := dec.best()) is not None:
+            i, entry, k = best
+            dec.apply(i, entry.actions[k])
+        return state_to_tree(dec.state, tokens, sent_id=sent_id)
+
+    def _train_sentence(self, tree, continue_after_error) -> bool:
+        """Decode one gold tree beside its oracle; True if it updated."""
+        oracle = GoldOracle(tree, self.table, self.inventory)
+        dec = _Decoder(self, tree.tokens)
+        updated = False
+        while (best := dec.best()) is not None:
+            moves = oracle.gold_moves(dec.state)
+            if not moves:
+                break
+            i, entry, k = best
+            if (i, entry.actions[k]) in moves:
+                dec.apply(i, entry.actions[k])
+                continue
+            updated = True
+            gold_row, top = None, None
+            for gi, gaction in sorted(moves, key=_move_order):
+                gentry = dec.entries[gi]
+                if gaction in gentry.actions:
+                    gk = gentry.actions.index(gaction)
+                    if gold_row is None or gentry.scores[gk] > top:
+                        gold_row, top = gentry.rows[gk], gentry.scores[gk]
+            if gold_row is not None:
+                self.store.update(entry.rows[k], gold_row)
+            if not continue_after_error:
+                break
+            # steer back onto the gold path; drop all cached scores, the
+            # update just invalidated them
+            dec.entries[:] = [None] * len(dec.entries)
+            dec.apply(*min(moves, key=_move_order))
+        return updated
 
     def train(self, trees, epochs=15, seed=42, epoch_hook=None,
               continue_after_error=False) -> dict:
         """Error-driven training with per-epoch reshuffling.
 
-        Every sentence runs the greedy loop; while the argmax action is
-        in the gold set it is applied, and the first error triggers one
+        Every sentence runs the greedy loop; while the best action is in
+        the gold set it is applied, and the first error triggers one
         update against the best-scoring gold action.  By default the
         sentence is then abandoned.
         """
@@ -525,49 +559,9 @@ class EasyFirstParser:
         stats = {"epochs": []}
         for epoch in range(epochs):
             rng.shuffle(order)
-            updates = 0
-            clean = 0
-            for idx in order:
-                tree = trees[idx]
-                oracle = GoldOracle(tree, self.table, self.inventory)
-                outcome = {"error": False}
-
-                def on_step(state, entries, best, _oracle=oracle, _out=outcome):
-                    moves = _oracle.gold_moves(state)
-                    if not moves:
-                        return False
-                    _, i, entry, k = best
-                    action = entry.actions[k]
-                    if (i, action) in moves:
-                        return True
-                    _out["error"] = True
-                    best_gold = None
-                    for gi, gaction in sorted(
-                            moves, key=lambda m: (m[0], m[1].sort_key())):
-                        gentry = entries[gi]
-                        gk = gentry.index_of.get(gaction.key)
-                        if gk is None:
-                            continue
-                        gs = gentry.scores[gk]
-                        if best_gold is None or gs > best_gold[0]:
-                            best_gold = (gs, gentry.rows[gk])
-                    if best_gold is not None:
-                        self.store.update(entry.rows[k], best_gold[1])
-                    if continue_after_error:
-                        # steer back onto the gold path; drop all cached
-                        # scores, the update just invalidated them
-                        gi, gaction = min(
-                            moves, key=lambda m: (m[0], m[1].sort_key()))
-                        entries[:] = [None] * len(entries)
-                        return ("redirect", gi, gaction)
-                    return False
-
-                self._decode(tree.tokens, on_step)
-                if outcome["error"]:
-                    updates += 1
-                else:
-                    clean += 1
-            epoch_stats = {"epoch": epoch, "updates": updates, "clean": clean}
+            updates = sum(self._train_sentence(trees[idx], continue_after_error)
+                          for idx in order)
+            epoch_stats = {"epoch": epoch, "updates": updates, "clean": len(order) - updates}
             stats["epochs"].append(epoch_stats)
             if epoch_hook is not None:
                 epoch_hook(epoch, epoch_stats)

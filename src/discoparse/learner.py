@@ -110,7 +110,10 @@ class WeightStore:
         """Rebuild the dense weights of a file written by ``save``; files
         that are not such a model raise ``ValueError``."""
         try:
-            with np.load(path) as data:
+            data = np.load(path)
+            if isinstance(data, np.ndarray):
+                raise ValueError(f"{path}: a single array, not a model file")
+            with data:
                 if "weights" in data.files:
                     raise ValueError(f"{path}: dense model file of an older "
                                      "version; train the model again")

@@ -261,7 +261,6 @@ def test_criterion_08a_scores_outside_window_unchanged_exactly():
     pairs_checked = 0
     for _ in range(20):
         tree = random_tree(rng, n_tokens=rng.randint(6, 12), max_block_degree=3)
-        parser._tokens = tree.tokens
         state = initial_state(tree.tokens)
         views = [n.view for n in state]
         while len(state) > 1:

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +280,30 @@ def test_parse_truncated_model_exits_1(trained_models, tmp_path):
     cut = tmp_path / "cut.npz"
     cut.write_bytes(data[:len(data) // 2])
     assert cli.main(["parse", str(cut), str(trained_models["held"]),
+                     str(tmp_path / "pred.export")]) == 1
+
+
+def test_parse_npy_as_model_exits_1_without_traceback(trained_models, tmp_path):
+    model = tmp_path / "m.npy"
+    np.save(model, np.arange(4))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "discoparse.cli", "parse", str(model),
+                          str(trained_models["held"]), str(tmp_path / "pred.export")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert "not a model file" in run.stderr
+
+
+def test_parse_unknown_feature_config_key_exits_1(trained_models, tmp_path):
+    from discoparse.learner import WeightStore
+    store = WeightStore.load(trained_models["plain"]["model"])
+    store.extra["feature_config"]["bogus"] = 1
+    model = tmp_path / "bogus.npz"
+    store.save(model, extra=store.extra, blobs=store.blobs)
+    with pytest.raises(ValueError, match="bogus"):
+        cli.load_parser(model)
+    assert cli.main(["parse", str(model), str(trained_models["held"]),
                      str(tmp_path / "pred.export")]) == 1
 
 

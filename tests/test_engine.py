@@ -14,6 +14,7 @@ from discoparse.engine import (
     ActionInventory,
     EasyFirstParser,
     GoldOracle,
+    _Decoder,
     apply_action,
     initial_state,
     label_inventory,
@@ -354,6 +355,26 @@ def test_incremental_rescoring_matches_full_rescoring(seed):
         tree = random_tree(rng, max_block_degree=3)
         assert (a.parse_tokens(tree.tokens).signature()
                 == b.parse_tokens(tree.tokens).signature())
+
+
+def test_two_decoders_on_one_parser_interleave():
+    # decoders share the parser and its caches but no per-sentence state
+    labels = ["NP", "PP", "S", "VP"]
+    parser = make_parser(labels, seed_weights=5)
+    trees = [t for t, _ in toy_corpus(2, random.Random(23))]
+    assert len(trees[0].tokens) != len(trees[1].tokens)
+    decoders = [_Decoder(parser, t.tokens) for t in trees]
+    live = list(decoders)
+    while live:
+        for dec in list(live):
+            best = dec.best()
+            if best is None:
+                live.remove(dec)
+            else:
+                i, entry, k = best
+                dec.apply(i, entry.actions[k])
+    got = [state_to_tree(d.state, t.tokens).signature() for d, t in zip(decoders, trees)]
+    assert got == [parser.parse_tokens(t.tokens).signature() for t in trees]
 
 
 # --------------------------------------------------------------- training
