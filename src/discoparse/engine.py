@@ -51,8 +51,8 @@ class Action:
 
 @dataclass(frozen=True)
 class ParseNode:
-    """One root of the working sequence; immutable so that score and
-    feature caches can key on object state safely."""
+    """One root of the working sequence; immutable, so the gold oracle
+    can memoize its matches by item identity."""
 
     label: str
     is_phrase: bool
@@ -471,35 +471,16 @@ class EasyFirstParser:
         self.tagclass = tagclass
         self.lexicon = lexicon
         self.inventory = ActionInventory(labels)
-        self.extractor = FeatureExtractor(feat_config, bigram_model)
-        self._vec_cache = {}
-        self._vec_cache_cap = 4_000_000
+        self.extractor = FeatureExtractor(
+            feat_config, [a.key for a in self.inventory.pair_order], bigram_model)
 
     # feature rows for all applicable actions at one position
     def _entry(self, state, views, i):
         actions = self.inventory.applicable(state, i)
         if not actions:
             return _PositionEntry((), None, np.empty(0))
-        w = window(views, i)
-        base = (w[-1], w[0], w[1], w[2])
-        cache = self._vec_cache
-        rows = [None] * len(actions)
-        missing = []
-        for k, action in enumerate(actions):
-            row = cache.get((base, action.key))
-            if row is None:
-                missing.append(k)
-            else:
-                rows[k] = row
-        if missing:
-            if len(cache) > self._vec_cache_cap:
-                cache.clear()
-            got = self.extractor.extract_many(w, [actions[k].key for k in missing])
-            for k, row in zip(missing, got):
-                cache[(base, actions[k].key)] = row
-                rows[k] = row
-        matrix = np.stack(rows)
-        return _PositionEntry(tuple(actions), matrix, self.store.score_rows(matrix))
+        rows = self.extractor.extract_many(window(views, i), [a.key for a in actions])
+        return _PositionEntry(tuple(actions), rows, self.store.score_rows(rows))
 
     def _refresh(self, entries, lo, hi):
         for i in range(max(0, lo), min(len(entries), hi)):

@@ -175,32 +175,37 @@ def hash_index(parts, action_id, dim) -> int:
     return _fnv1a(data) & (dim - 1)
 
 
-class FeatureExtractor:
-    """Pairs a config (and optional bigram model) with an index memo.
+# byte budget of one extractor's cache: 8 bytes per action plus ~300 per entry
+_CACHE_BYTES = 2 ** 28
 
-    Hash values are memoized by (template parts, action id); the parts
-    vocabulary is small in practice, so the exact FNV computation runs
-    once per distinct input.
+
+class FeatureExtractor:
+    """Pairs a config (and optional bigram model) with a bounded index cache.
+
+    The cache maps a template instance (its parts tuple) to its hash index
+    under every action id of the fixed inventory, so the exact FNV
+    computation runs once per instance until the cache fills and empties.
     """
 
-    def __init__(self, config, bigram_model=None):
+    def __init__(self, config, action_ids, bigram_model=None):
         self.config = config
         self.model = bigram_model
-        self._memo = {}
+        self._actions = tuple(action_ids)
+        self._column = {a: k for k, a in enumerate(self._actions)}
+        self._cap = max(1, _CACHE_BYTES // (8 * len(self._actions) + 300))
+        self._cache = {}
 
-    def extract_many(self, views, action_ids) -> list:
-        tpls = template_parts(views, self.config, self.model)
-        dim = self.config.dim
-        memo = self._memo
-        out = []
-        for action_id in action_ids:
-            row = np.empty(len(tpls), dtype=np.int64)
-            for j, parts in enumerate(tpls):
-                key = (parts, action_id)
-                idx = memo.get(key)
-                if idx is None:
-                    idx = hash_index(parts, action_id, dim)
-                    memo[key] = idx
-                row[j] = idx
-            out.append(row)
-        return out
+    def extract_many(self, views, action_ids) -> np.ndarray:
+        """The A x T index matrix: row k holds every template's index
+        under ``action_ids[k]``."""
+        cache = self._cache
+        vecs = []
+        for parts in template_parts(views, self.config, self.model):
+            vec = cache.get(parts)
+            if vec is None:
+                if len(cache) >= self._cap:
+                    cache.clear()
+                vec = cache[parts] = np.array([hash_index(parts, a, self.config.dim)
+                                               for a in self._actions], dtype=np.int64)
+            vecs.append(vec)
+        return np.array(vecs).T[[self._column[a] for a in action_ids]]

@@ -307,6 +307,27 @@ def test_parse_unknown_feature_config_key_exits_1(trained_models, tmp_path):
                      str(tmp_path / "pred.export")]) == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dim", "big"), ("dim", 2 ** 20), ("dim", None), ("cluster_kinds", "full"),
+    ("cluster_kinds", ["full", 6]), ("pair_minus1_0", "false"), ("lemma_templates", 0)])
+def test_parse_bad_feature_config_value_exits_1_without_traceback(
+        trained_models, tmp_path, key, value):
+    from discoparse.learner import WeightStore
+    store = WeightStore.load(trained_models["plain"]["model"])
+    store.extra["feature_config"][key] = value
+    model = tmp_path / "bad.npz"
+    store.save(model, extra=store.extra, blobs=store.blobs)
+    with pytest.raises(ValueError, match=key):
+        cli.load_parser(model)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "discoparse.cli", "parse", str(model),
+                          str(trained_models["held"]), str(tmp_path / "pred.export")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert key in run.stderr
+
+
 def test_train_truncated_bigrams_exits_1(toy_files, trained_models, tmp_path):
     lines = trained_models["bigrams"].read_text().splitlines(keepends=True)
     cut = tmp_path / "assoc.txt"

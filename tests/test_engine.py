@@ -434,6 +434,32 @@ def test_train_continue_after_error():
     assert stats["epochs"][0]["updates"] > 0
 
 
+class _SizeLog(dict):
+    """A dict that remembers the most entries it ever held."""
+
+    most = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.most = max(self.most, len(self))
+
+
+def test_feature_cache_stays_bounded():
+    trees = [t for t, _ in toy_corpus(30, random.Random(14))]
+    dev = [t for t, _ in toy_corpus(20, random.Random(15))]
+    parser = make_parser(label_inventory(trees), dim=2 ** 16, table=toy_table())
+    parser.train(trees, epochs=3, seed=42)
+    want = [parser.parse_tokens(t.tokens).signature() for t in dev]
+    small = EasyFirstParser(parser.store, parser.extractor.config, parser.table,
+                            parser.inventory.labels)
+    small.extractor._cap = 50
+    small.extractor._cache = log = _SizeLog()
+    assert [small.parse_tokens(t.tokens).signature() for t in dev] == want
+    assert log.most == 50
+    # the default cap held every instance, far more than the small one allows
+    assert len(parser.extractor._cache) > 4 * 50
+
+
 def test_train_rejects_empty_corpus():
     parser = make_parser(["S"])
     with pytest.raises(ValueError):

@@ -2,7 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from discoparse import features
 from discoparse.bigrams import RAW, BigramAssocModel, quantile_cuts
 from discoparse.clusters import FULL, SIX_BIT, UNK, ClusterLexicon
 from discoparse.features import (
@@ -27,7 +30,7 @@ def view(cat, form="f"):
 
 
 def extract_one(views, action_id, config, model=None):
-    return FeatureExtractor(config, model).extract_many(views, [action_id])[0]
+    return FeatureExtractor(config, [action_id], model).extract_many(views, [action_id])[0]
 
 
 def views_for(cats):
@@ -116,10 +119,11 @@ def test_literal_duplicate_changes_indices():
 def test_extraction_is_pure_and_deterministic():
     cfg = FeatureConfig(dim=2 ** 16, cluster_kinds=(FULL,))
     w = views_for("ABCD")
-    ex = FeatureExtractor(cfg)
+    inventory = ["BUILD:S:left", "ATTACH:left", "SWAP"]
+    ex = FeatureExtractor(cfg, inventory)
     one = ex.extract_many(w, ["ATTACH:left"])[0]
-    two = FeatureExtractor(cfg).extract_many(w, ["ATTACH:left"])[0]
-    three = FeatureExtractor(cfg).extract_many(dict(w), ["ATTACH:left"])[0]
+    two = FeatureExtractor(cfg, inventory).extract_many(w, ["ATTACH:left"])[0]
+    three = FeatureExtractor(cfg, ["ATTACH:left"]).extract_many(dict(w), ["ATTACH:left"])[0]
     again = ex.extract_many(w, ["ATTACH:left"])[0]
     assert np.array_equal(one, two) and np.array_equal(one, three)
     assert np.array_equal(one, again)
@@ -127,13 +131,68 @@ def test_extraction_is_pure_and_deterministic():
 
 def test_extract_many_matches_single():
     cfg = FeatureConfig(dim=2 ** 16)
-    ex = FeatureExtractor(cfg)
     w = views_for("ABCD")
     actions = ["BUILD:S:left", "BUILD:S:right", "SWAP"]
+    ex = FeatureExtractor(cfg, ["UNARY:S", *reversed(actions)])
     rows = ex.extract_many(w, actions)
     tpls = template_parts(w, cfg)
+    assert rows.shape == (len(actions), len(tpls))
     for action, row in zip(actions, rows):
         assert row.tolist() == [hash_index(parts, action, cfg.dim) for parts in tpls]
+
+
+# forms drawn from a small vocabulary often hit the bigram model below;
+# arbitrary text (any code point but lone surrogates) mostly misses it
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+_FIELD = st.one_of(st.sampled_from(["a", "b", "c", "\x1f", "ä"]), _TEXT)
+_VIEW = st.builds(NodeView, _FIELD, _FIELD, _FIELD, _FIELD, _FIELD)
+_WINDOW = st.fixed_dictionaries({p: _VIEW for p in (-1, 0, 1, 2)})
+_BIGRAMS = BigramAssocModel(RAW, {"a": {"b": 5.0, "c": 1.0}, "b": {"a": 2.0}},
+                            {"a": quantile_cuts([5.0, 1.0]), "b": quantile_cuts([2.0])})
+_CONFIGS = {"default": (FeatureConfig(dim=2 ** 16), None),
+            "clusters": (FeatureConfig(dim=2 ** 16, cluster_kinds=(FULL, SIX_BIT)), None),
+            "bigrams": (FeatureConfig(dim=2 ** 16), _BIGRAMS)}
+
+
+@st.composite
+def _inventory_and_requests(draw):
+    """An action inventory and a few subsets of it, each in any order."""
+    inventory = draw(st.lists(_TEXT, min_size=1, max_size=8, unique=True))
+    requests = draw(st.lists(st.permutations(inventory).flatmap(
+        lambda perm: st.integers(0, len(perm)).map(lambda k: perm[:k])),
+        min_size=1, max_size=4))
+    return inventory, requests
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(windows=st.lists(_WINDOW, min_size=1, max_size=3), job=_inventory_and_requests())
+def test_extract_many_equals_hash_index_cold_warm_and_cleared(name, windows, job):
+    config, model = _CONFIGS[name]
+    inventory, requests = job
+    # a window has at least 32 distinct template instances, so a cap of
+    # three entries empties the cache many times within every call
+    small = FeatureExtractor(config, inventory, model)
+    small._cap = 3
+    for ex in (FeatureExtractor(config, inventory, model), small):
+        for _ in range(2):          # a cold pass, then a warm one
+            for w in windows:
+                tpls = template_parts(w, config, model)
+                for actions in requests:
+                    got = ex.extract_many(w, actions)
+                    assert got.shape == (len(actions), len(tpls))
+                    assert got.tolist() == [[hash_index(p, a, config.dim) for p in tpls]
+                                            for a in actions]
+        assert len(ex._cache) <= ex._cap
+
+
+def test_cache_cap_follows_the_byte_budget(monkeypatch):
+    cfg = FeatureConfig(dim=2 ** 16)
+    few = FeatureExtractor(cfg, ["A", "B"])
+    many = FeatureExtractor(cfg, [f"A{k}" for k in range(200)])
+    assert few._cap > many._cap > 1000
+    monkeypatch.setattr(features, "_CACHE_BYTES", 0)
+    assert FeatureExtractor(cfg, ["A"])._cap == 1
 
 
 def test_fnv1a_reference_vectors():
