@@ -8,10 +8,9 @@ weights, the AdaGrad accumulators, the per-epoch ``updates``/``clean``
 counts and the parses of 40 held-out sentences.  A refactor that claims
 to keep behaviour prints the same lines before and after.
 
-Usage: python3 scripts/bitcheck.py [--train 80] [--epochs 4] [--dim 18]
+Usage: python3 scripts/bitcheck.py
 """
 
-import argparse
 import hashlib
 import json
 import random
@@ -28,6 +27,10 @@ from discoparse.headrules import induce_head_table
 from discoparse.learner import WeightStore
 from discoparse.synthdata import toy_corpus
 from discoparse.treebank import discbracket_line
+
+TRAIN = 80
+EPOCHS = 4
+DIM = 2 ** 18
 
 
 def toy_lexicon(trees):
@@ -50,30 +53,23 @@ def digest(parser, stats, dev):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--train", type=int, default=80)
-    ap.add_argument("--epochs", type=int, default=4)
-    ap.add_argument("--dim", type=int, default=18, help="log2 of weight count")
-    args = ap.parse_args()
-
-    corpus = toy_corpus(args.train, random.Random(9))
+    corpus = toy_corpus(TRAIN, random.Random(9))
     trees = [t for t, _ in corpus]
     dev = [t for t, _ in toy_corpus(40, random.Random(10))]
     table = induce_head_table(corpus)
     labels = label_inventory(trees)
-    dim = 2 ** args.dim
     configs = {
-        "default": (FeatureConfig(dim=dim), {}),
-        "clusters": (FeatureConfig(dim=dim, cluster_kinds=(FULL, SIX_BIT)),
+        "default": (FeatureConfig(dim=DIM), {}),
+        "clusters": (FeatureConfig(dim=DIM, cluster_kinds=(FULL, SIX_BIT)),
                      {"lexicon": toy_lexicon(trees)}),
-        "bigrams": (FeatureConfig(dim=dim),
+        "bigrams": (FeatureConfig(dim=DIM),
                     {"bigram_model": score_counts(count_pairs(d for _, d in corpus), LL)}),
     }
     total = hashlib.sha256()
     for name, (feat, resources) in configs.items():
         for cae in (False, True):
-            parser = EasyFirstParser(WeightStore(dim), feat, table, labels, **resources)
-            stats = parser.train(trees, epochs=args.epochs, seed=42,
+            parser = EasyFirstParser(WeightStore(DIM), feat, table, labels, **resources)
+            stats = parser.train(trees, epochs=EPOCHS, seed=42,
                                  continue_after_error=cae)
             d = digest(parser, stats, dev)
             total.update(d.encode())

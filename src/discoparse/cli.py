@@ -214,17 +214,11 @@ def load_parser(path):
     unknown = sorted(set(fc) - {f.name for f in dataclasses.fields(FeatureConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown feature_config keys {unknown}")
-    # type(), not isinstance(): True is an int but no dimension count
-    if type(fc.get("dim")) is not int or fc["dim"] != store.dim:
-        raise ValueError(f"{path}: feature_config dim {fc.get('dim')!r} is not {store.dim}")
-    kinds = fc.get("cluster_kinds")
-    if not isinstance(kinds, list) or not all(isinstance(k, str) for k in kinds):
-        raise ValueError(f"{path}: feature_config cluster_kinds {kinds!r} are not strings")
-    bad = [k for k in ("pair_minus1_0", "literal_duplicate_ww", "lemma_templates")
-           if not isinstance(fc.get(k), bool)]
-    if bad:
-        raise ValueError(f"{path}: feature_config {bad} must be true or false")
-    feat = FeatureConfig(**{**fc, "cluster_kinds": tuple(kinds)})
+    if isinstance(fc.get("cluster_kinds"), list):  # JSON has no tuples
+        fc = {**fc, "cluster_kinds": tuple(fc["cluster_kinds"])}
+    feat = FeatureConfig(**fc)
+    if feat.dim != store.dim:
+        raise ValueError(f"{path}: feature_config dim {feat.dim} is not {store.dim}")
     return _build_parser(store, feat, meta["labels"], store.blobs)
 
 

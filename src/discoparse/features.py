@@ -7,7 +7,7 @@ FNV-1a 64.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,11 +82,19 @@ class FeatureConfig:
     lemma_templates: bool = False
 
     def __post_init__(self):
-        if self.dim <= 0 or self.dim & (self.dim - 1):
-            raise ValueError(f"dimension count must be a power of two, got {self.dim}")
+        # type(), not isinstance(): True is an int but no dimension count
+        if type(self.dim) is not int or self.dim <= 0 or self.dim & (self.dim - 1):
+            raise ValueError(f"dim must be a power of two, got {self.dim!r}")
+        if not isinstance(self.cluster_kinds, tuple) or not all(
+                isinstance(k, str) for k in self.cluster_kinds):
+            raise ValueError(f"cluster_kinds must be a tuple of strings, got {self.cluster_kinds!r}")
         bad = set(self.cluster_kinds) - {clusters.FULL, clusters.SIX_BIT, clusters.FOUR_BIT}
         if bad:
             raise ValueError(f"unknown cluster kinds: {sorted(bad)}")
+        bad = [f.name for f in fields(self)
+               if f.type is bool and not isinstance(getattr(self, f.name), bool)]
+        if bad:
+            raise ValueError(f"{bad} must be true or false")
 
 
 def config_digest(config, scorer=None) -> str:

@@ -244,6 +244,15 @@ def test_config_validation():
         FeatureConfig(dim=1000)
     with pytest.raises(ValueError, match="cluster kinds"):
         FeatureConfig(dim=16, cluster_kinds=("8bit",))
+    for dim in ("big", True, 2.0 ** 16):
+        with pytest.raises(ValueError, match="dim"):
+            FeatureConfig(dim=dim)
+    with pytest.raises(ValueError, match="cluster_kinds"):
+        FeatureConfig(dim=16, cluster_kinds=("full", 6))
+    with pytest.raises(ValueError, match="cluster_kinds"):
+        FeatureConfig(dim=16, cluster_kinds="full")
+    with pytest.raises(ValueError, match="lemma_templates"):
+        FeatureConfig(dim=16, lemma_templates="false")
 
 
 def test_config_digest_distinguishes_configs():
