@@ -207,10 +207,13 @@ def load_parser(path):
     """Rebuild the parser a model file was trained as, from that file alone."""
     store = WeightStore.load(path)
     meta = store.extra
-    if not meta.get("labels") or "head_table" not in store.blobs:
-        raise ValueError(f"{path}: model file carries no label inventory "
-                         "or no head table")
-    fc = meta["feature_config"]
+    labels, fc = meta.get("labels"), meta.get("feature_config")
+    if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)):
+        raise ValueError(f"{path}: model file carries no list of label strings")
+    if "head_table" not in store.blobs:
+        raise ValueError(f"{path}: model file carries no head table")
+    if not isinstance(fc, dict):
+        raise ValueError(f"{path}: model file carries no feature_config object")
     unknown = sorted(set(fc) - {f.name for f in dataclasses.fields(FeatureConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown feature_config keys {unknown}")
@@ -219,7 +222,7 @@ def load_parser(path):
     feat = FeatureConfig(**fc)
     if feat.dim != store.dim:
         raise ValueError(f"{path}: feature_config dim {feat.dim} is not {store.dim}")
-    return _build_parser(store, feat, meta["labels"], store.blobs)
+    return _build_parser(store, feat, labels, store.blobs)
 
 
 def _content_lines(lines):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureExtractor, make_phrase_view, make_terminal_view, window
+from .features import FeatureExtractor, make_view, terminal_category, window
 from .treebank import FALLBACK_ROOT, ConstTree, Node
 
 LEFT = "left"
@@ -75,7 +75,7 @@ def terminal_node(token, tagclass=None, lexicon=None) -> ParseNode:
         yield_set=frozenset({token.index}),
         min_orig=token.index,
         unary_chain=0,
-        view=make_terminal_view(token, tagclass, lexicon),
+        view=make_view(terminal_category(token.pos, token.form, tagclass), token, lexicon),
     )
 
 
@@ -206,7 +206,7 @@ def _phrase(label, children, head_token, unary_chain, tokens, lexicon):
         yield_set=yset,
         min_orig=min(c.min_orig for c in children),
         unary_chain=unary_chain,
-        view=make_phrase_view(label, tokens[head_token], lexicon),
+        view=make_view(label, tokens[head_token], lexicon),
     )
 
 
@@ -409,7 +409,8 @@ def replay_gold(tree, table, rng=None, inventory=None):
 
 # ---------------------------------------------------------------- parser
 
-_PositionEntry = namedtuple("_PositionEntry", "actions rows scores")
+# k: the first index of the highest score
+_PositionEntry = namedtuple("_PositionEntry", "actions rows scores k")
 
 
 class _Decoder:
@@ -435,12 +436,8 @@ class _Decoder:
             if entries[i] is None:
                 entries[i] = self.parser._entry(state, views, i)
             entry = entries[i]
-            if not entry.actions:
-                continue
-            k = int(np.argmax(entry.scores))
-            s = entry.scores[k]
-            if best is None or s > top:
-                best, top = (i, entry, k), s
+            if entry.actions and (best is None or entry.scores[entry.k] > top):
+                best, top = (i, entry, entry.k), entry.scores[entry.k]
         return best
 
     def apply(self, i, action):
@@ -478,9 +475,10 @@ class EasyFirstParser:
     def _entry(self, state, views, i):
         actions = self.inventory.applicable(state, i)
         if not actions:
-            return _PositionEntry((), None, np.empty(0))
+            return _PositionEntry((), None, np.empty(0), -1)
         rows = self.extractor.extract_many(window(views, i), [a.key for a in actions])
-        return _PositionEntry(tuple(actions), rows, self.store.score_rows(rows))
+        scores = self.store.score_rows(rows)
+        return _PositionEntry(tuple(actions), rows, scores, int(np.argmax(scores)))
 
     def _refresh(self, entries, lo, hi):
         for i in range(max(0, lo), min(len(entries), hi)):

@@ -26,12 +26,11 @@ class NodeView:
 
     category: str
     head_form: str
-    head_lemma: str
     cluster_full: str
     cluster_6: str
 
 
-BOUNDARY = NodeView("<B>", "<B>", "<B>", "<B>", "<B>")
+BOUNDARY = NodeView("<B>", "<B>", "<B>", "<B>")
 
 
 def terminal_category(tag, form, tagclass):
@@ -41,26 +40,10 @@ def terminal_category(tag, form, tagclass):
     return tag
 
 
-def make_terminal_view(token, tagclass=None, lexicon=None) -> NodeView:
-    full = lexicon.lookup(token.form) if lexicon is not None else UNK
-    return NodeView(
-        category=terminal_category(token.pos, token.form, tagclass),
-        head_form=token.form,
-        head_lemma=token.lemma or token.form,
-        cluster_full=full,
-        cluster_6=clusters.prefix(full, 6),
-    )
-
-
-def make_phrase_view(label, head_token, lexicon=None) -> NodeView:
+def make_view(category, head_token, lexicon=None) -> NodeView:
+    """The view of an item of ``category`` headed by ``head_token``."""
     full = lexicon.lookup(head_token.form) if lexicon is not None else UNK
-    return NodeView(
-        category=label,
-        head_form=head_token.form,
-        head_lemma=head_token.lemma or head_token.form,
-        cluster_full=full,
-        cluster_6=clusters.prefix(full, 6),
-    )
+    return NodeView(category, head_token.form, full, clusters.prefix(full, 6))
 
 
 def window(views, i) -> dict:
@@ -77,6 +60,7 @@ def window(views, i) -> dict:
 class FeatureConfig:
     dim: int = 2 ** 24
     cluster_kinds: tuple = ()
+    # former ablation toggles; model files carry them, only at these values
     pair_minus1_0: bool = True
     literal_duplicate_ww: bool = False
     lemma_templates: bool = False
@@ -92,20 +76,14 @@ class FeatureConfig:
         if bad:
             raise ValueError(f"unknown cluster kinds: {sorted(bad)}")
         bad = [f.name for f in fields(self)
-               if f.type is bool and not isinstance(getattr(self, f.name), bool)]
+               if f.type is bool and getattr(self, f.name) is not f.default]
         if bad:
-            raise ValueError(f"{bad} must be true or false")
+            raise ValueError(f"{bad} must keep their default values")
 
 
-def config_digest(config, scorer=None) -> str:
-    text = "|".join([
-        str(config.dim),
-        ",".join(config.cluster_kinds),
-        str(config.pair_minus1_0),
-        str(config.literal_duplicate_ww),
-        str(config.lemma_templates),
-        scorer or "-",
-    ])
+def config_digest(config) -> str:
+    # the fixed fields keep the digests that existing model files carry
+    text = f"{config.dim}|{','.join(config.cluster_kinds)}|True|False|False|-"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
@@ -127,25 +105,13 @@ def template_parts(views, config, model=None) -> list:
         out.append(("uC" + ps, v.category))
         out.append(("uW" + ps, v.head_form))
         out.append(("uCW" + ps, v.category, v.head_form))
-        if config.lemma_templates:
-            out.append(("uL" + ps, v.head_lemma))
-            out.append(("uCL" + ps, v.category, v.head_lemma))
-    pairs = PAIRS if config.pair_minus1_0 else PAIRS[1:]
-    for m, n in pairs:
+    for m, n in PAIRS:
         vm, vn = views[m], views[n]
         tag = f"{m}:{n}"
         out.append(("pWW" + tag, vm.head_form, vn.head_form))
         out.append(("pWC" + tag, vm.head_form, vn.category))
         out.append(("pCW" + tag, vm.category, vn.head_form))
-        if config.literal_duplicate_ww:
-            # the doubled word-word template, kept for the ablation
-            out.append(("pWW2" + tag, vm.head_form, vn.head_form))
-        else:
-            out.append(("pCC" + tag, vm.category, vn.category))
-        if config.lemma_templates:
-            out.append(("pLL" + tag, vm.head_lemma, vn.head_lemma))
-            out.append(("pLC" + tag, vm.head_lemma, vn.category))
-            out.append(("pCL" + tag, vm.category, vn.head_lemma))
+        out.append(("pCC" + tag, vm.category, vn.category))
         for kind in config.cluster_kinds:
             km, kn = _kind_value(vm, kind), _kind_value(vn, kind)
             kt = kind + tag
@@ -191,8 +157,9 @@ class FeatureExtractor:
     """Pairs a config (and optional bigram model) with a bounded index cache.
 
     The cache maps a template instance (its parts tuple) to its hash index
-    under every action id of the fixed inventory, so the exact FNV
-    computation runs once per instance until the cache fills and empties.
+    under every action id of the fixed inventory.  A fill hashes the parts
+    once and continues FNV-1a from that state over each action id's
+    0x1F-prefixed bytes, which gives ``hash_index`` by construction.
     """
 
     def __init__(self, config, action_ids, bigram_model=None):
@@ -200,20 +167,22 @@ class FeatureExtractor:
         self.model = bigram_model
         self._actions = tuple(action_ids)
         self._column = {a: k for k, a in enumerate(self._actions)}
+        self._suffixes = [("\x1f" + a).encode("utf-8") for a in self._actions]
         self._cap = max(1, _CACHE_BYTES // (8 * len(self._actions) + 300))
         self._cache = {}
 
     def extract_many(self, views, action_ids) -> np.ndarray:
         """The A x T index matrix: row k holds every template's index
         under ``action_ids[k]``."""
-        cache = self._cache
+        cache, mask = self._cache, self.config.dim - 1
         vecs = []
         for parts in template_parts(views, self.config, self.model):
             vec = cache.get(parts)
             if vec is None:
                 if len(cache) >= self._cap:
                     cache.clear()
-                vec = cache[parts] = np.array([hash_index(parts, a, self.config.dim)
-                                               for a in self._actions], dtype=np.int64)
+                h = _fnv1a("\x1f".join(parts).encode("utf-8"))
+                vec = cache[parts] = np.array([_fnv1a(s, h) & mask for s in self._suffixes],
+                                              dtype=np.int64)
             vecs.append(vec)
         return np.array(vecs).T[[self._column[a] for a in action_ids]]

@@ -124,6 +124,15 @@ class WeightStore:
                          if name.startswith("blob_")}
         except (zipfile.BadZipFile, EOFError, KeyError) as e:
             raise ValueError(f"{path}: not a readable model file ({e})") from e
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: model metadata is not a JSON object")
+        bad = [key for key, ok in (
+            ("dim", type(meta.get("dim")) is int),  # not a bool or a float
+            *((key, type(meta.get(key)) in (int, float)) for key in ("eta", "lam", "delta")),
+            ("dtype", meta.get("dtype") in ("float32", "float64")),
+            ("extra", isinstance(meta.get("extra", {}), dict))) if not ok]
+        if bad:
+            raise ValueError(f"{path}: malformed model metadata {bad}")
         store = cls(meta["dim"], eta=meta["eta"], lam=meta["lam"],
                     delta=meta["delta"], dtype=np.dtype(meta["dtype"]))
         if (index.ndim != 1 or index.shape != value.shape or index.dtype.kind not in "iu"

@@ -309,7 +309,8 @@ def test_parse_unknown_feature_config_key_exits_1(trained_models, tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("dim", "big"), ("dim", 2 ** 20), ("dim", None), ("cluster_kinds", "full"),
-    ("cluster_kinds", ["full", 6]), ("pair_minus1_0", "false"), ("lemma_templates", 0)])
+    ("cluster_kinds", ["full", 6]), ("pair_minus1_0", "false"), ("pair_minus1_0", False),
+    ("lemma_templates", 0)])
 def test_parse_bad_feature_config_value_exits_1_without_traceback(
         trained_models, tmp_path, key, value):
     from discoparse.learner import WeightStore
@@ -326,6 +327,37 @@ def test_parse_bad_feature_config_value_exits_1_without_traceback(
     assert run.returncode == 1
     assert "Traceback" not in run.stderr
     assert key in run.stderr
+
+
+def _labels(labels):
+    return lambda meta: {**meta, "extra": {**meta["extra"], "labels": labels}}
+
+
+@pytest.mark.parametrize("change", [
+    lambda meta: [meta], lambda meta: {**meta, "dim": "big"},
+    lambda meta: {**meta, "dim": 16.0}, lambda meta: {**meta, "dim": True},
+    lambda meta: {**meta, "eta": "0.1"}, lambda meta: {**meta, "delta": None},
+    lambda meta: {**meta, "dtype": "foo"}, lambda meta: {**meta, "dtype": "int8"},
+    lambda meta: {**meta, "extra": []}, _labels([1, 2]), _labels("NPS"), _labels([]),
+    lambda meta: {**meta, "extra": {**meta["extra"], "feature_config": []}}],
+    ids=["list", "dim-str", "dim-float", "dim-bool", "eta-str", "delta-none", "dtype-foo",
+         "dtype-int8", "extra-list", "labels-ints", "labels-str", "labels-empty", "fc-list"])
+def test_parse_malformed_model_metadata_exits_1_without_traceback(
+        trained_models, tmp_path, change):
+    with np.load(trained_models["plain"]["model"]) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = change(json.loads(bytes(arrays["meta"]).decode("utf-8")))
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    model = tmp_path / "bad.npz"
+    np.savez(model, **arrays)
+    with pytest.raises(ValueError):
+        cli.load_parser(model)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "discoparse.cli", "parse", str(model),
+                          str(trained_models["held"]), str(tmp_path / "pred.export")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
 
 
 def test_train_truncated_bigrams_exits_1(toy_files, trained_models, tmp_path):

@@ -14,7 +14,7 @@ from discoparse.clusters import (
     load_clusters,
     prefix,
 )
-from discoparse.features import _kind_value, make_terminal_view
+from discoparse.features import _kind_value, make_view
 from discoparse.treebank import Token
 
 
@@ -42,8 +42,8 @@ def test_prefix_examples():
 
 def test_kind_values():
     lex = ClusterLexicon({"Haus": "0110101"})
-    haus = make_terminal_view(Token(0, "Haus", pos="NN"), lexicon=lex)
-    weg = make_terminal_view(Token(1, "weg", pos="ADV"), lexicon=lex)
+    haus = make_view("NN", Token(0, "Haus", pos="NN"), lexicon=lex)
+    weg = make_view("ADV", Token(1, "weg", pos="ADV"), lexicon=lex)
     assert _kind_value(haus, FULL) == "0110101"
     assert _kind_value(haus, SIX_BIT) == "011010"
     assert _kind_value(haus, FOUR_BIT) == "0110"

@@ -16,7 +16,7 @@ from discoparse.features import (
     _fnv1a,
     config_digest,
     hash_index,
-    make_terminal_view,
+    make_view,
     template_parts,
     terminal_category,
     window,
@@ -26,7 +26,7 @@ from discoparse.treebank import Token
 
 
 def view(cat, form="f"):
-    return NodeView(cat, form, form, UNK, UNK)
+    return NodeView(cat, form, UNK, UNK)
 
 
 def extract_one(views, action_id, config, model=None):
@@ -47,11 +47,11 @@ def test_terminal_category_augmentation():
 
 def test_make_terminal_view_cluster_lookup():
     lex = ClusterLexicon({"Haus": "0110101"})
-    v = make_terminal_view(Token(0, "Haus", lemma="haus", pos="NN"), None, lex)
+    v = make_view("NN", Token(0, "Haus", lemma="haus", pos="NN"), lex)
     assert v.cluster_full == "0110101"
     assert v.cluster_6 == "011010"
-    assert v.head_lemma == "haus"
-    miss = make_terminal_view(Token(1, "weg", pos="ADV"), None, lex)
+    assert v.category == "NN" and v.head_form == "Haus"
+    miss = make_view("ADV", Token(1, "weg", pos="ADV"), lex)
     assert miss.cluster_full == UNK and miss.cluster_6 == UNK
 
 
@@ -100,20 +100,13 @@ def test_template_count_with_bigram_model():
     assert len(fv) == 32 + 12
 
 
-def test_template_count_toggles():
-    no_pair = FeatureConfig(dim=2 ** 16, pair_minus1_0=False)
-    assert len(extract_one(views_for("ABCD"), "A", no_pair)) == 12 + 16
-    lemmas = FeatureConfig(dim=2 ** 16, lemma_templates=True)
-    assert len(extract_one(views_for("ABCD"), "A", lemmas)) == 32 + 8 + 15
-    dup = FeatureConfig(dim=2 ** 16, literal_duplicate_ww=True)
-    assert len(extract_one(views_for("ABCD"), "A", dup)) == 32
-
-
-def test_literal_duplicate_changes_indices():
-    w = views_for("ABCD")
-    a = extract_one(w, "A", FeatureConfig(dim=2 ** 20))
-    b = extract_one(w, "A", FeatureConfig(dim=2 ** 20, literal_duplicate_ww=True))
-    assert not np.array_equal(a, b)
+@pytest.mark.parametrize("name, value", [
+    ("pair_minus1_0", False), ("literal_duplicate_ww", True), ("lemma_templates", True)])
+def test_template_toggles_refuse_non_default_values(name, value):
+    default = getattr(FeatureConfig(dim=16), name)
+    assert FeatureConfig(dim=16, **{name: default}) == FeatureConfig(dim=16)
+    with pytest.raises(ValueError, match=name):
+        FeatureConfig(dim=16, **{name: value})
 
 
 def test_extraction_is_pure_and_deterministic():
@@ -145,7 +138,7 @@ def test_extract_many_matches_single():
 # arbitrary text (any code point but lone surrogates) mostly misses it
 _TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
 _FIELD = st.one_of(st.sampled_from(["a", "b", "c", "\x1f", "ä"]), _TEXT)
-_VIEW = st.builds(NodeView, _FIELD, _FIELD, _FIELD, _FIELD, _FIELD)
+_VIEW = st.builds(NodeView, _FIELD, _FIELD, _FIELD, _FIELD)
 _WINDOW = st.fixed_dictionaries({p: _VIEW for p in (-1, 0, 1, 2)})
 _BIGRAMS = BigramAssocModel(RAW, {"a": {"b": 5.0, "c": 1.0}, "b": {"a": 2.0}},
                             {"a": quantile_cuts([5.0, 1.0]), "b": quantile_cuts([2.0])})
@@ -258,6 +251,8 @@ def test_config_validation():
 def test_config_digest_distinguishes_configs():
     a = config_digest(FeatureConfig(dim=2 ** 16))
     b = config_digest(FeatureConfig(dim=2 ** 17))
-    c = config_digest(FeatureConfig(dim=2 ** 16), scorer="ll")
-    assert a != b and a != c
+    assert a != b
     assert a == config_digest(FeatureConfig(dim=2 ** 16))
+    # the digests that existing model files and parse headers carry
+    assert a == "1a95bd26b465"
+    assert config_digest(FeatureConfig(dim=2 ** 16, cluster_kinds=(FULL, SIX_BIT))) == "5b1ae80980df"
