@@ -105,6 +105,9 @@ _CONVERTERS = {
 def merge_options(args, keys) -> dict:
     """Effective options for one run: flag > config file > default."""
     file_cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_cfg) - set(_OPTION_DEFAULTS))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown option keys {unknown}")
     out = {}
     for key in keys:
         flag = getattr(args, key, None)

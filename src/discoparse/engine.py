@@ -49,10 +49,10 @@ class Action:
         return self._order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParseNode:
-    """One root of the working sequence; immutable, so the gold oracle
-    can memoize its matches by item identity."""
+    """One root of the working sequence; immutable and hashed by
+    identity, so the gold oracle can memoize its matches by item."""
 
     label: str
     is_phrase: bool
@@ -62,10 +62,9 @@ class ParseNode:
     yield_set: frozenset
     min_orig: int
     unary_chain: int
-    view: object
 
 
-def terminal_node(token, tagclass=None, lexicon=None) -> ParseNode:
+def terminal_node(token) -> ParseNode:
     return ParseNode(
         label=token.pos,
         is_phrase=False,
@@ -75,12 +74,11 @@ def terminal_node(token, tagclass=None, lexicon=None) -> ParseNode:
         yield_set=frozenset({token.index}),
         min_orig=token.index,
         unary_chain=0,
-        view=make_view(terminal_category(token.pos, token.form, tagclass), token, lexicon),
     )
 
 
-def initial_state(tokens, tagclass=None, lexicon=None) -> list:
-    return [terminal_node(t, tagclass, lexicon) for t in tokens]
+def initial_state(tokens) -> list:
+    return [terminal_node(t) for t in tokens]
 
 
 class ActionInventory:
@@ -95,11 +93,10 @@ class ActionInventory:
         self.attach_right = Action(ATTACH, side=RIGHT)
         self._unary = {lab: Action(UNARY, lab) for lab in self.labels}
         self.swap = Action(SWAP)
-        self.pair_order = (
-            [self._build[(lab, side)] for lab in self.labels for side in (LEFT, RIGHT)]
-            + [self.attach_left, self.attach_right]
-            + [self._unary[lab] for lab in self.labels]
-            + [self.swap])
+        self._builds = [self._build[(lab, side)] for lab in self.labels for side in (LEFT, RIGHT)]
+        self._unaries = [self._unary[lab] for lab in self.labels]
+        self.pair_order = (self._builds + [self.attach_left, self.attach_right]
+                           + self._unaries + [self.swap])
 
     def build(self, label, side) -> Action:
         return self._build[(label, side)]
@@ -113,23 +110,19 @@ class ActionInventory:
         n = len(state)
         if n < 2:
             return []
-        has_pair = i + 1 < n
         left = state[i]
-        right = state[i + 1] if has_pair else None
-        out = []
-        for action in self.pair_order:
-            if action.kind == BUILD:
-                if has_pair:
-                    out.append(action)
-            elif action.kind == ATTACH:
-                if has_pair and (right if action.side == LEFT else left).is_phrase:
-                    out.append(action)
-            elif action.kind == UNARY:
-                if left.unary_chain < MAX_UNARY_CHAIN:
-                    out.append(action)
-            else:
-                if has_pair and left.min_orig < right.min_orig:
-                    out.append(action)
+        unaries = self._unaries if left.unary_chain < MAX_UNARY_CHAIN else []
+        if i + 1 == n:
+            return list(unaries)
+        right = state[i + 1]
+        out = list(self._builds)
+        if right.is_phrase:
+            out.append(self.attach_left)
+        if left.is_phrase:
+            out.append(self.attach_right)
+        out += unaries
+        if left.min_orig < right.min_orig:
+            out.append(self.swap)
         return out
 
 
@@ -159,43 +152,36 @@ def _surface_head(table, label, parts, default_head):
     return ordered[k].head_token if k is not None else default_head
 
 
-def apply_action(state, i, action, table, tokens, lexicon=None) -> list:
+def apply_action(state, i, action, table) -> list:
     """Transition function; returns a fresh state list."""
     if action.kind == SWAP:
         if not state[i].min_orig < state[i + 1].min_orig:
             raise ValueError("swap guard violated")
-        new = list(state)
-        new[i], new[i + 1] = new[i + 1], new[i]
-        return new
+        return state[:i] + [state[i + 1], state[i]] + state[i + 2:]
 
     if action.kind == UNARY:
         child = state[i]
         if child.unary_chain >= MAX_UNARY_CHAIN:
             raise ValueError("unary chain limit reached")
-        node = _phrase(action.label, (child,), child.head_token,
-                       child.unary_chain + 1, tokens, lexicon)
-        new = list(state)
-        new[i] = node
-        return new
+        node = _phrase(action.label, (child,), child.head_token, child.unary_chain + 1)
+        return state[:i] + [node] + state[i + 1:]
 
     left, right = state[i], state[i + 1]
     if action.kind == BUILD:
         default = (left if action.side == LEFT else right).head_token
         head = _surface_head(table, action.label, (left, right), default)
-        node = _phrase(action.label, (left, right), head, 0, tokens, lexicon)
+        node = _phrase(action.label, (left, right), head, 0)
     else:
         absorber, absorbed = (right, left) if action.side == LEFT else (left, right)
         if not absorber.is_phrase:
             raise ValueError("attach target is not a constituent")
         parts = absorber.children + (absorbed,)
         head = _surface_head(table, absorber.label, parts, absorber.head_token)
-        node = _phrase(absorber.label, parts, head, 0, tokens, lexicon)
-    new = list(state)
-    new[i:i + 2] = [node]
-    return new
+        node = _phrase(absorber.label, parts, head, 0)
+    return state[:i] + [node] + state[i + 2:]
 
 
-def _phrase(label, children, head_token, unary_chain, tokens, lexicon):
+def _phrase(label, children, head_token, unary_chain):
     yset = frozenset().union(*(c.yield_set for c in children))
     return ParseNode(
         label=label,
@@ -206,7 +192,6 @@ def _phrase(label, children, head_token, unary_chain, tokens, lexicon):
         yield_set=yset,
         min_orig=min(c.min_orig for c in children),
         unary_chain=unary_chain,
-        view=make_view(label, tokens[head_token], lexicon),
     )
 
 
@@ -265,8 +250,8 @@ class GoldOracle:
 
     Parse items are matched to gold nodes bottom-up: a phrase item
     corresponds to the unique gold node under which its children sit at
-    contiguous positions.  Matching is memoized by item identity, which
-    is sound because items are immutable.
+    contiguous positions.  Matching is memoized by item, which is sound
+    because items are immutable and hashed by identity.
     """
 
     def __init__(self, gold, table, inventory):
@@ -289,13 +274,9 @@ class GoldOracle:
         self._minproj = {}
 
     def match(self, item):
-        # the memo pins the item: freed ids can be reused by new objects
-        got = self._match.get(id(item))
-        if got is not None and got[0] is item:
-            return got[1]
-        result = self._compute_match(item)
-        self._match[id(item)] = (item, result)
-        return result
+        if item not in self._match:
+            self._match[item] = self._compute_match(item)
+        return self._match[item]
 
     def _compute_match(self, item):
         if not item.is_phrase:
@@ -320,12 +301,9 @@ class GoldOracle:
         return (_PARTIAL, g, ks[0], ks[-1])
 
     def min_proj(self, item) -> int:
-        got = self._minproj.get(id(item))
-        if got is not None and got[0] is item:
-            return got[1]
-        rank = min(self.proj[t] for t in item.yield_set)
-        self._minproj[id(item)] = (item, rank)
-        return rank
+        if item not in self._minproj:
+            self._minproj[item] = min(self.proj[t] for t in item.yield_set)
+        return self._minproj[item]
 
     def gold_moves(self, state) -> set:
         """Set of (position, action) pairs that advance toward the gold
@@ -402,7 +380,7 @@ def replay_gold(tree, table, rng=None, inventory=None):
             i, action = min(moves, key=_move_order)
         else:
             i, action = rng.choice(sorted(moves, key=_move_order))
-        state = apply_action(state, i, action, table, tree.tokens)
+        state = apply_action(state, i, action, table)
         actions_taken += 1
     return state_to_tree(state, tree.tokens, sent_id=tree.sent_id), actions_taken
 
@@ -420,8 +398,8 @@ class _Decoder:
     def __init__(self, parser, tokens):
         self.parser = parser
         self.tokens = tokens
-        self.state = initial_state(tokens, parser.tagclass, parser.lexicon)
-        self.views = [n.view for n in self.state]
+        self.state = initial_state(tokens)
+        self.views = [parser._view(n, tokens) for n in self.state]
         self.entries = [None] * len(self.state)
         self.steps_left = _step_budget(len(tokens))
 
@@ -444,17 +422,15 @@ class _Decoder:
         """Apply, splice the views and entries exactly like the state, and
         drop the entries of every position whose window the change reaches."""
         parser, views, entries = self.parser, self.views, self.entries
-        self.state = state = apply_action(self.state, i, action, parser.table,
-                                          self.tokens, parser.lexicon)
+        self.state = state = apply_action(self.state, i, action, parser.table)
         self.steps_left -= 1
         if action.kind == SWAP:
             views[i], views[i + 1] = views[i + 1], views[i]
             entries[i], entries[i + 1] = entries[i + 1], entries[i]
-        elif action.kind == UNARY:
-            views[i] = state[i].view
         else:
-            views[i:i + 2] = [state[i].view]
-            entries[i:i + 2] = [None]
+            end = i + 1 if action.kind == UNARY else i + 2
+            views[i:end] = [parser._view(state[i], self.tokens)]
+            entries[i:end] = [None]
         parser._refresh(entries, i - 2, i + 3 if action.kind == SWAP else i + 2)
 
 
@@ -470,6 +446,13 @@ class EasyFirstParser:
         self.inventory = ActionInventory(labels)
         self.extractor = FeatureExtractor(
             feat_config, [a.key for a in self.inventory.pair_order], bigram_model)
+
+    def _view(self, item, tokens):
+        """The one map from a parse item to what feature templates see."""
+        head = tokens[item.head_token]
+        category = (item.label if item.is_phrase
+                    else terminal_category(item.label, head.form, self.tagclass))
+        return make_view(category, head, self.lexicon)
 
     # feature rows for all applicable actions at one position
     def _entry(self, state, views, i):

@@ -29,6 +29,9 @@ FALLBACK_ROOT = "VROOT"
 _NONTERM_RE = re.compile(r"^#([5-9][0-9][0-9])$")
 _TERMINAL_RE = re.compile(r"^(\d+)=(.*)$")
 _DISC_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
+# tree walkers such as discbracket_line recurse up to three frames per
+# level; 200 levels stay well inside Python's default limit of 1000 frames
+MAX_BRACKET_DEPTH = 200
 
 
 class FormatError(ValueError):
@@ -531,6 +534,9 @@ def _parse_discbracket_line(line, lineno, sent_id):
             if tok == ")":
                 raise FormatError("bracket without label", line=lineno, sent_id=sent_id)
             stack.append(_Phrase(_unescape_form(tok)))
+            if len(stack) > MAX_BRACKET_DEPTH:
+                raise FormatError(f"brackets nested deeper than {MAX_BRACKET_DEPTH}",
+                                  line=lineno, sent_id=sent_id)
             expect_label = False
         elif tok == ")":
             if not stack:
@@ -641,11 +647,12 @@ def _dep_sentence_from_rows(rows, sent_id):
             raise FormatError("expected at least 8 columns", line=lineno, sent_id=sent_id)
         idv, form, lemma, cpos, pos, feats, head, deprel = cols[:8]
         try:
-            if int(idv) != k + 1:
-                raise FormatError(f"unexpected token id {idv!r}", line=lineno, sent_id=sent_id)
+            token_id = int(idv)
         except ValueError:
             raise FormatError(f"non-integer token id {idv!r}",
                               line=lineno, sent_id=sent_id) from None
+        if token_id != k + 1:
+            raise FormatError(f"unexpected token id {idv!r}", line=lineno, sent_id=sent_id)
         try:
             heads.append(int(head))
         except ValueError:

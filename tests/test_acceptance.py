@@ -262,7 +262,7 @@ def test_criterion_08a_scores_outside_window_unchanged_exactly():
     for _ in range(20):
         tree = random_tree(rng, n_tokens=rng.randint(6, 12), max_block_degree=3)
         state = initial_state(tree.tokens)
-        views = [n.view for n in state]
+        views = [parser._view(n, tree.tokens) for n in state]
         while len(state) > 1:
             entries = _fresh_entries(parser, state, views)
             best = None
@@ -276,8 +276,8 @@ def test_criterion_08a_scores_outside_window_unchanged_exactly():
                 break
             _, j, action = best
             old_len = len(state)
-            state = apply_action(state, j, action, EMPTY_TABLE, tree.tokens)
-            views = [n.view for n in state]
+            state = apply_action(state, j, action, EMPTY_TABLE)
+            views = [parser._view(n, tree.tokens) for n in state]
             delta = old_len - len(state)
             fresh = _fresh_entries(parser, state, views)
             for i_new, e_new in enumerate(fresh):

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from discoparse import cli
 from discoparse.bigrams import BigramAssocModel
 from discoparse.synthdata import toy_corpus
-from discoparse.treebank import read_export, write_conll, write_export
+from discoparse.treebank import read_export, write_conll, write_discbracket, write_export
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +157,21 @@ def test_exit_codes(tmp_path):
     out = tmp_path / "out.txt"
     assert cli.main(["bigram-build", str(conll), str(out),
                      "--config", str(cfg)]) == 1
+
+
+def test_config_file_unknown_key_exits_1(toy_files, tmp_path, caplog):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epoch=3\n")
+    model = tmp_path / "m.npz"
+    assert cli.main(["train", str(toy_files["const"]),
+                     "--head-table", str(toy_files["table"]),
+                     "--model", str(model), "--config", str(cfg)]) == 1
+    assert "['epoch']" in caplog.text
+    assert not model.exists()
+    # keys of other subcommands are allowed: one file serves them all
+    cfg.write_text("epochs=3\nscore=ll\nmaxlen=40\n")
+    assert cli.main(["eval", str(toy_files["const"]), str(toy_files["const"]),
+                     "--config", str(cfg)]) == 0
 
 
 def test_config_file_drives_training(toy_files, tmp_path):
@@ -369,3 +386,114 @@ def test_train_truncated_bigrams_exits_1(toy_files, trained_models, tmp_path):
                      "--model", str(tmp_path / "m.npz"), "--epochs", "1",
                      "--dim", str(2 ** 16), "--bigrams", str(cut)]) == 1
 
+
+def run_cli(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "discoparse.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+
+
+# far deeper than the readers accept, and than Python's default recursion limit
+DEEP_LINE = "(S " * 1200 + "(X 0=a)" + ")" * 1200 + "\n"
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_deeply_nested_discbracket_exits_without_traceback(
+        trained_models, toy_files, tmp_path, strict):
+    deep = tmp_path / "deep.dbr"
+    deep.write_text(DEEP_LINE)
+    runs = [run_cli("parse", trained_models["plain"]["model"], deep, tmp_path / "out.dbr",
+                    *(["--strict"] if strict else []))]
+    if not strict:  # eval has no strict mode
+        runs.append(run_cli("eval", deep, deep, "--head-table", toy_files["table"]))
+    for run in runs:
+        assert "Traceback" not in run.stderr
+        assert "nested deeper than" in run.stderr
+        # a strict run refuses the file; otherwise the line is skipped
+        assert run.returncode == (1 if strict else 0)
+
+
+@pytest.fixture(scope="module")
+def garble_kit(toy_files, tmp_path_factory):
+    """Per input kind: its well-formed bytes, a function that writes the
+    garbled bytes as a file and returns its path, and the CLI runs that
+    read that file."""
+    root = tmp_path_factory.mktemp("garble")
+    corpus = toy_corpus(3, random.Random(5))
+    export, dbr, conll = root / "ok.export", root / "ok.dbr", root / "ok.conll"
+    write_export([t for t, _ in corpus], export)
+    write_discbracket([t for t, _ in corpus], dbr)
+    write_conll([d for _, d in corpus], conll)
+    forms = sorted({t.form for tree, _ in corpus for t in tree.tokens})
+    clusters = root / "ok.paths"
+    clusters.write_text("".join(f"{k + 2:b}\t{form}\t1\n" for k, form in enumerate(forms)))
+    bigrams, table, model = root / "ok.assoc", toy_files["table"], root / "ok.npz"
+    assert cli.main(["bigram-build", str(conll), str(bigrams), "--min-count", "1"]) == 0
+    assert cli.main(["train", str(export), "--head-table", str(table), "--model", str(model),
+                     "--clusters", str(clusters), "--bigrams", str(bigrams),
+                     "--epochs", "1", "--dim", "1024"]) == 0
+    with np.load(model) as data:
+        arrays = {name: data[name] for name in data.files}
+    out = root / "out"
+
+    def trees(g):
+        return [("eval", g, g, "--head-table", table), ("induce-heads", g, conll,
+                 "--out-table", out, "--out-tags", out),
+                ("parse", model, g, out), ("parse", model, g, out, "--strict")]
+
+    def resource(flag):
+        return lambda g: [("parse", model, export, out, flag, g),
+                          ("train", export, "--head-table", table, "--model", out,
+                           "--epochs", "1", "--dim", "1024", flag, g)]
+
+    def file(name):
+        def write(data):
+            (root / name).write_bytes(data)
+            return root / name
+        return write
+
+    def meta_model(data):
+        np.savez(root / "g.npz", **{**arrays, "meta": np.frombuffer(data, dtype=np.uint8)})
+        return root / "g.npz"
+
+    return {
+        "export": (export.read_bytes(), file("g.export"), trees),
+        "dbr": (dbr.read_bytes(), file("g.dbr"), trees),
+        "deep": (DEEP_LINE.encode(), file("g.dbr"), trees),
+        "conll": (conll.read_bytes(), file("g.conll"), lambda g: [
+            ("induce-heads", export, g, "--out-table", out, "--out-tags", out),
+            ("bigram-build", g, out)]),
+        "clusters": (clusters.read_bytes(), file("g.paths"), lambda g: [
+            ("cluster-check", g), ("cluster-check", g, "--strict"),
+            *resource("--clusters")(g)]),
+        "bigrams": (bigrams.read_bytes(), file("g.assoc"), resource("--bigrams")),
+        "table": (table.read_bytes(), file("g.heads"), lambda g: [
+            ("eval", export, export, "--head-table", g), *resource("--head-table")(g)]),
+        "model": (model.read_bytes(), file("g.npz"), lambda g: [("parse", g, export, out)]),
+        "meta": (bytes(arrays["meta"]), meta_model, lambda g: [("parse", g, export, out)]),
+    }
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@example(kind="deep", cut=None, edits=[])
+@given(kind=st.sampled_from(["export", "dbr", "deep", "conll", "clusters", "bigrams",
+                             "table", "model", "meta"]),
+       cut=st.none() | st.floats(0, 1),
+       edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)),
+                      max_size=4))
+def test_garbled_inputs_end_in_exit_codes(garble_kit, kind, cut, edits):
+    data, write, commands = garble_kit[kind]
+    data = bytearray(data if cut is None else data[:int(cut * len(data))])
+    for where, byte in edits:
+        if data:
+            data[int(where * len(data))] = byte
+    garbled = write(bytes(data))
+    limit = sys.getrecursionlimit()
+    # hypothesis raises the limit while a test runs; the command line has the default
+    sys.setrecursionlimit(1000)
+    try:
+        for argv in commands(garbled):
+            # an escaping exception is what the command line would show as a traceback
+            assert cli.main([str(a) for a in argv]) in (0, 1, 2), argv
+    finally:
+        sys.setrecursionlimit(limit)

@@ -2,11 +2,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from discoparse.clusters import ClusterLexicon
 from discoparse.engine import (
     ATTACH,
     BUILD,
     LEFT,
+    MAX_UNARY_CHAIN,
     RIGHT,
     SWAP,
     UNARY,
@@ -15,6 +19,7 @@ from discoparse.engine import (
     EasyFirstParser,
     GoldOracle,
     _Decoder,
+    _move_order,
     apply_action,
     initial_state,
     label_inventory,
@@ -23,7 +28,7 @@ from discoparse.engine import (
     state_to_tree,
 )
 from discoparse.features import FeatureConfig
-from discoparse.headrules import LTR, RTL, HeadTable
+from discoparse.headrules import CLOSED, LTR, RTL, HeadTable, TagClassification
 from discoparse.learner import WeightStore
 from discoparse.synthdata import build_tree, random_tree, toy_corpus, toy_sentence
 from discoparse.treebank import Token
@@ -70,7 +75,7 @@ def test_single_root_is_terminal():
 def test_attach_requires_phrase_absorber():
     toks = mk_tokens(("a", "X"), ("b", "Y"), ("c", "Z"))
     state = initial_state(toks)
-    state = apply_action(state, 0, Action(BUILD, "NP", LEFT), EMPTY_TABLE, toks)
+    state = apply_action(state, 0, Action(BUILD, "NP", LEFT), EMPTY_TABLE)
     inv = ActionInventory(["NP"])
     keys0 = [a.key for a in inv.applicable(state, 0)]
     assert "ATTACH:right" in keys0  # left item is the NP
@@ -80,12 +85,12 @@ def test_attach_requires_phrase_absorber():
 def test_swap_guard():
     toks = mk_tokens(("a", "X"), ("b", "Y"))
     state = initial_state(toks)
-    state = apply_action(state, 0, Action(SWAP), EMPTY_TABLE, toks)
+    state = apply_action(state, 0, Action(SWAP), EMPTY_TABLE)
     assert [n.min_orig for n in state] == [1, 0]
     inv = ActionInventory(["S"])
     assert all(a.kind != SWAP for a in inv.applicable(state, 0))
     with pytest.raises(ValueError):
-        apply_action(state, 0, Action(SWAP), EMPTY_TABLE, toks)
+        apply_action(state, 0, Action(SWAP), EMPTY_TABLE)
 
 
 # ----------------------------------------------------------- transitions
@@ -93,8 +98,8 @@ def test_swap_guard():
 def test_build_head_side_table_miss_uses_action_side():
     toks = mk_tokens(("der", "ART"), ("hund", "NN"))
     state = initial_state(toks)
-    left = apply_action(state, 0, Action(BUILD, "NP", LEFT), EMPTY_TABLE, toks)[0]
-    right = apply_action(state, 0, Action(BUILD, "NP", RIGHT), EMPTY_TABLE, toks)[0]
+    left = apply_action(state, 0, Action(BUILD, "NP", LEFT), EMPTY_TABLE)[0]
+    right = apply_action(state, 0, Action(BUILD, "NP", RIGHT), EMPTY_TABLE)[0]
     assert left.head_token == 0 and right.head_token == 1
     assert left.yield_set == frozenset({0, 1})
     assert left.min_orig == 0
@@ -104,7 +109,7 @@ def test_build_head_side_table_overrides_action():
     table = HeadTable({"NP": [(LTR, ["NN"])]})
     toks = mk_tokens(("der", "ART"), ("hund", "NN"))
     node = apply_action(initial_state(toks), 0,
-                        Action(BUILD, "NP", LEFT), table, toks)[0]
+                        Action(BUILD, "NP", LEFT), table)[0]
     assert node.head_token == 1
 
 
@@ -113,8 +118,8 @@ def test_build_head_table_sees_surface_order():
     # scans surface order, so an LTR ART rule still finds token 0
     table = HeadTable({"NP": [(LTR, ["ART"])]})
     toks = mk_tokens(("der", "ART"), ("hund", "NN"))
-    state = apply_action(initial_state(toks), 0, Action(SWAP), EMPTY_TABLE, toks)
-    node = apply_action(state, 0, Action(BUILD, "NP", LEFT), table, toks)[0]
+    state = apply_action(initial_state(toks), 0, Action(SWAP), EMPTY_TABLE)
+    node = apply_action(state, 0, Action(BUILD, "NP", LEFT), table)[0]
     assert node.head_token == 0
 
 
@@ -122,34 +127,34 @@ def test_attach_splices_and_recomputes_head():
     table = HeadTable({"NP": [(LTR, ["NE"])]})
     toks = mk_tokens(("der", "ART"), ("alte", "ADJA"), ("karl", "NE"))
     state = initial_state(toks)
-    state = apply_action(state, 0, Action(BUILD, "NP", LEFT), table, toks)
+    state = apply_action(state, 0, Action(BUILD, "NP", LEFT), table)
     assert len(state) == 2
-    state = apply_action(state, 0, Action(ATTACH, side=RIGHT), table, toks)
+    state = apply_action(state, 0, Action(ATTACH, side=RIGHT), table)
     assert len(state) == 1
     root = state[0]
     assert root.yield_set == frozenset({0, 1, 2})
     assert root.head_token == 2
     # on a table miss the absorber's old head is kept
     state2 = initial_state(toks)
-    state2 = apply_action(state2, 0, Action(BUILD, "NP", RIGHT), EMPTY_TABLE, toks)
+    state2 = apply_action(state2, 0, Action(BUILD, "NP", RIGHT), EMPTY_TABLE)
     head_before = state2[0].head_token
-    state2 = apply_action(state2, 0, Action(ATTACH, side=RIGHT), EMPTY_TABLE, toks)
+    state2 = apply_action(state2, 0, Action(ATTACH, side=RIGHT), EMPTY_TABLE)
     assert state2[0].head_token == head_before
 
 
 def test_unary_chain_cap():
     toks = mk_tokens(("hund", "NN"), (".", "$."))
     state = initial_state(toks)
-    state = apply_action(state, 0, Action(UNARY, "NP"), EMPTY_TABLE, toks)
+    state = apply_action(state, 0, Action(UNARY, "NP"), EMPTY_TABLE)
     assert state[0].unary_chain == 1 and state[0].label == "NP"
-    state = apply_action(state, 0, Action(UNARY, "VP"), EMPTY_TABLE, toks)
+    state = apply_action(state, 0, Action(UNARY, "VP"), EMPTY_TABLE)
     assert state[0].unary_chain == 2
     with pytest.raises(ValueError):
-        apply_action(state, 0, Action(UNARY, "S"), EMPTY_TABLE, toks)
+        apply_action(state, 0, Action(UNARY, "S"), EMPTY_TABLE)
     inv = ActionInventory(["S"])
     assert all(a.kind != UNARY for a in inv.applicable(state, 0))
     # a binary build resets the chain
-    state = apply_action(state, 0, Action(BUILD, "S", LEFT), EMPTY_TABLE, toks)
+    state = apply_action(state, 0, Action(BUILD, "S", LEFT), EMPTY_TABLE)
     assert state[0].unary_chain == 0
 
 
@@ -159,7 +164,7 @@ def test_state_to_tree_single_phrase_root():
     tree = build_tree([("a", "X"), ("b", "Y")], ("S", [0, 1]))
     toks = tree.tokens
     state = apply_action(initial_state(toks), 0,
-                         Action(BUILD, "S", LEFT), EMPTY_TABLE, toks)
+                         Action(BUILD, "S", LEFT), EMPTY_TABLE)
     rebuilt = state_to_tree(state, toks)
     assert rebuilt.signature() == tree.signature()
 
@@ -167,7 +172,7 @@ def test_state_to_tree_single_phrase_root():
 def test_state_to_tree_wraps_leftovers():
     toks = mk_tokens(("a", "X"), ("b", "Y"), ("c", "Z"))
     state = initial_state(toks)
-    state = apply_action(state, 0, Action(BUILD, "NP", LEFT), EMPTY_TABLE, toks)
+    state = apply_action(state, 0, Action(BUILD, "NP", LEFT), EMPTY_TABLE)
     wrapped = state_to_tree(state, toks)
     root = wrapped.nodes[wrapped.root_id]
     assert root.label == "VROOT"
@@ -221,7 +226,7 @@ def test_gold_swap_on_inverted_pair():
     moves = oracle.gold_moves(state)
     # tokens 1 and 2 are proj-inverted; nothing else is gold yet
     assert moves == {(1, inv.swap)}
-    state = apply_action(state, 1, inv.swap, EMPTY_TABLE, tree.tokens)
+    state = apply_action(state, 1, inv.swap, EMPTY_TABLE)
     moves = oracle.gold_moves(state)
     assert (0, inv.build("VP", LEFT)) in moves
 
@@ -237,7 +242,7 @@ def test_gold_build_blocked_by_existing_fragment():
     assert (0, inv.build("S", LEFT)) in moves
     assert (1, inv.build("S", LEFT)) in moves
     assert (2, inv.build("S", LEFT)) in moves
-    state = apply_action(state, 0, inv.build("S", LEFT), EMPTY_TABLE, tree.tokens)
+    state = apply_action(state, 0, inv.build("S", LEFT), EMPTY_TABLE)
     moves = oracle.gold_moves(state)
     assert all(a.kind != BUILD for _, a in moves)
     assert (0, inv.attach_right) in moves
@@ -248,7 +253,7 @@ def test_gold_attach_extends_either_end():
     oracle, inv = _oracle(tree)
     state = initial_state(tree.tokens)
     # build the middle pair first, then a extends at the left end
-    state = apply_action(state, 1, inv.build("S", LEFT), EMPTY_TABLE, tree.tokens)
+    state = apply_action(state, 1, inv.build("S", LEFT), EMPTY_TABLE)
     moves = oracle.gold_moves(state)
     assert moves == {(0, inv.attach_left)}
 
@@ -260,7 +265,7 @@ def test_gold_unary_on_preterminal():
     state = initial_state(tree.tokens)
     moves = oracle.gold_moves(state)
     assert moves == {(0, inv.unary("NP"))}
-    state = apply_action(state, 0, inv.unary("NP"), EMPTY_TABLE, tree.tokens)
+    state = apply_action(state, 0, inv.unary("NP"), EMPTY_TABLE)
     moves = oracle.gold_moves(state)
     assert moves == {(0, inv.build("S", LEFT))}
 
@@ -464,3 +469,62 @@ def test_train_rejects_empty_corpus():
     parser = make_parser(["S"])
     with pytest.raises(ValueError):
         parser.train([])
+
+
+# ------------------------------------------------------------ properties
+
+def reference_applicable(inventory, state, i):
+    """Applicable actions by a ``kind`` test per action of ``pair_order``,
+    the slow form that ``ActionInventory.applicable`` must agree with."""
+    if len(state) < 2:
+        return []
+    has_pair = i + 1 < len(state)
+    left = state[i]
+    right = state[i + 1] if has_pair else None
+    out = []
+    for action in inventory.pair_order:
+        if action.kind == BUILD:
+            ok = has_pair
+        elif action.kind == ATTACH:
+            ok = has_pair and (right if action.side == LEFT else left).is_phrase
+        elif action.kind == UNARY:
+            ok = left.unary_chain < MAX_UNARY_CHAIN
+        else:
+            ok = has_pair and left.min_orig < right.min_orig
+        if ok:
+            out.append(action)
+    return out
+
+
+def _view_parser():
+    """A parser whose views differ between tags, closed-class terminals
+    and phrases, and carry cluster paths."""
+    lexicon = ClusterLexicon({"hund": "0110", "katze": "10", "gut": "111"})
+    tagclass = TagClassification({"ART": CLOSED, "APPR": CLOSED})
+    return EasyFirstParser(WeightStore(2 ** 10), FeatureConfig(dim=2 ** 10), EMPTY_TABLE,
+                           ["AP", "AVP", "NP", "PP", "S", "VP"],
+                           tagclass=tagclass, lexicon=lexicon)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_tokens=st.integers(2, 16),
+       degree=st.integers(1, 3), canonical=st.booleans())
+def test_decoder_on_gold_paths_keeps_views_and_applicable(seed, n_tokens, degree, canonical):
+    rng = random.Random(seed)
+    tree = random_tree(rng, n_tokens=n_tokens, max_block_degree=degree)
+    parser = _view_parser()
+    inv = parser.inventory
+    oracle = GoldOracle(tree, EMPTY_TABLE, inv)
+    dec = _Decoder(parser, tree.tokens)
+    while True:
+        assert dec.views == [parser._view(n, tree.tokens) for n in dec.state]
+        assert len(dec.entries) == len(dec.state)
+        for i in range(len(dec.state)):
+            assert inv.applicable(dec.state, i) == reference_applicable(inv, dec.state, i)
+        moves = oracle.gold_moves(dec.state)
+        if not moves:
+            break
+        ordered = sorted(moves, key=_move_order)
+        dec.apply(*(ordered[0] if canonical else rng.choice(ordered)))
+    assert state_to_tree(dec.state, tree.tokens) == tree
+

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discoparse import synthdata
+from discoparse.evaluate import evaluate
+from discoparse.headrules import HeadTable
 from discoparse.treebank import (
+    MAX_BRACKET_DEPTH,
     AlignmentError,
     ConstTree,
     DepSentence,
@@ -161,6 +164,22 @@ def test_discbracket_errors():
             read_discbracket(io.StringIO(text), strict=True)
 
 
+def nested_line(depth):
+    """``depth`` brackets around one terminal: depth - 1 phrases and a tag."""
+    return "(S " * (depth - 1) + "(X 0=a)" + ")" * (depth - 1)
+
+
+def test_discbracket_nesting_limit():
+    (tree,) = read_discbracket(io.StringIO(nested_line(MAX_BRACKET_DEPTH)), strict=True)
+    assert len(tree.nodes) == MAX_BRACKET_DEPTH - 1
+    # the deepest accepted tree still runs through every recursive walker
+    assert discbracket_line(tree) == nested_line(MAX_BRACKET_DEPTH)
+    assert evaluate([tree], [tree], table=HeadTable()).f1 == 100.0
+    with pytest.raises(FormatError, match="nested deeper than"):
+        read_discbracket(io.StringIO(nested_line(MAX_BRACKET_DEPTH + 1)), strict=True)
+    assert read_discbracket(io.StringIO(nested_line(1200))) == []
+
+
 def test_discbracket_roundtrip_random():
     rng = random.Random(202)
     trees = [synthdata.random_tree(rng, rich_tokens=False) for _ in range(100)]
@@ -194,6 +213,12 @@ def test_conll_cycle_rejected():
 def test_conll_bad_head_value():
     text = "1\ta\t_\t_\tX\t_\tx\tdep\t_\t_\n\n"
     with pytest.raises(FormatError, match="non-integer head"):
+        read_conll(io.StringIO(text), strict=True)
+
+
+def test_conll_skipped_token_id_named():
+    text = "1\ta\t_\t_\tX\t_\t0\troot\t_\t_\n3\tb\t_\t_\tX\t_\t1\tdep\t_\t_\n\n"
+    with pytest.raises(FormatError, match="unexpected token id '3'"):
         read_conll(io.StringIO(text), strict=True)
 
 
