@@ -95,7 +95,17 @@ _OPTION_DEFAULTS = {
     "continue_after_error": False,
 }
 
+_TREE_FORMATS = ("export", "discbracket")
+
+
+def _tree_format_name(value):
+    if value not in _TREE_FORMATS:
+        raise ValueError(f"format {value!r} is not one of {', '.join(_TREE_FORMATS)}")
+    return value
+
+
 _CONVERTERS = {
+    "format": _tree_format_name,
     "seed": int, "epochs": int, "dim": int, "maxlen": int, "min_count": int,
     "eta": float, "delta": float,
     "continue_after_error": lambda v: str(v).lower() in ("1", "true", "yes"),
@@ -322,6 +332,8 @@ def cmd_eval(args) -> int:
     )
     table = HeadTable.load(args.head_table) if args.head_table else None
     report = evaluate(golds, preds, cfg, table=table)
+    if report.sentences == 0:
+        raise ValueError("no sentence was scored")
     text = report.format_kv() if args.kv else report.format_text()
     print(text)
     if args.output:
@@ -367,7 +379,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key=value options file")
-        p.add_argument("--format", choices=("export", "discbracket"))
+        p.add_argument("--format", choices=_TREE_FORMATS)
 
     p = sub.add_parser("induce-heads", help="induce a head table and tag classes")
     common(p)
@@ -424,7 +436,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bigram-build", help="build a bigram association model")
-    common(p)
+    p.add_argument("--config", help="key=value options file")
     p.add_argument("conll")
     p.add_argument("output")
     p.add_argument("--score", choices=tuple(SCORERS))
@@ -432,7 +444,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bigram_build)
 
     p = sub.add_parser("cluster-check", help="validate a cluster paths file")
-    common(p)
     p.add_argument("paths_file")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_cluster_check)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureExtractor, make_view, terminal_category, window
-from .treebank import FALLBACK_ROOT, ConstTree, Node
+from .treebank import FALLBACK_ROOT, ConstTree, build_tree
 
 LEFT = "left"
 RIGHT = "right"
@@ -57,9 +57,7 @@ class ParseNode:
     label: str
     is_phrase: bool
     children: tuple
-    token_index: int
     head_token: int
-    yield_set: frozenset
     min_orig: int
     unary_chain: int
 
@@ -69,9 +67,7 @@ def terminal_node(token) -> ParseNode:
         label=token.pos,
         is_phrase=False,
         children=(),
-        token_index=token.index,
         head_token=token.index,
-        yield_set=frozenset({token.index}),
         min_orig=token.index,
         unary_chain=0,
     )
@@ -182,14 +178,11 @@ def apply_action(state, i, action, table) -> list:
 
 
 def _phrase(label, children, head_token, unary_chain):
-    yset = frozenset().union(*(c.yield_set for c in children))
     return ParseNode(
         label=label,
         is_phrase=True,
         children=tuple(children),
-        token_index=-1,
         head_token=head_token,
-        yield_set=yset,
         min_orig=min(c.min_orig for c in children),
         unary_chain=unary_chain,
     )
@@ -198,26 +191,14 @@ def _phrase(label, children, head_token, unary_chain):
 def state_to_tree(state, tokens, sent_id="") -> ConstTree:
     """Finish a state into a tree; leftover roots go under the fallback
     root label."""
-    nodes = {}
-    counter = [max(500, len(tokens))]
-
-    def emit(pnode):
-        if not pnode.is_phrase:
-            return pnode.token_index
-        nid = counter[0]
-        counter[0] += 1
-        refs = [emit(c) for c in pnode.children]
-        nodes[nid] = Node(nid, pnode.label, refs, pnode.yield_set)
-        return nid
+    def spec(item):
+        if not item.is_phrase:
+            return item.min_orig
+        return (item.label, [spec(c) for c in item.children])
 
     if len(state) == 1 and state[0].is_phrase:
-        root_id = emit(state[0])
-    else:
-        refs = [emit(p) for p in state]
-        root_id = counter[0]
-        nodes[root_id] = Node(root_id, FALLBACK_ROOT, refs,
-                              frozenset(range(len(tokens))))
-    return ConstTree(list(tokens), nodes, root_id, sent_id=sent_id).validate()
+        return build_tree(tokens, spec(state[0]), sent_id=sent_id)
+    return build_tree(tokens, (FALLBACK_ROOT, [spec(p) for p in state]), sent_id=sent_id)
 
 
 # --------------------------------------------------------------- oracle
@@ -280,7 +261,7 @@ class GoldOracle:
 
     def _compute_match(self, item):
         if not item.is_phrase:
-            return (_COMPLETE, item.token_index)
+            return (_COMPLETE, item.min_orig)
         refs = []
         for c in item.children:
             m = self.match(c)
@@ -302,7 +283,8 @@ class GoldOracle:
 
     def min_proj(self, item) -> int:
         if item not in self._minproj:
-            self._minproj[item] = min(self.proj[t] for t in item.yield_set)
+            self._minproj[item] = (min(self.min_proj(c) for c in item.children)
+                                   if item.is_phrase else self.proj[item.min_orig])
         return self._minproj[item]
 
     def gold_moves(self, state) -> set:

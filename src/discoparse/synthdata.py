@@ -9,7 +9,7 @@ experiment scripts stay reproducible.
 from __future__ import annotations
 
 from .headrules import LTR, RTL, HeadTable
-from .treebank import AlignedCorpus, ConstTree, DepSentence, Node, Token, block_count
+from .treebank import AlignedCorpus, ConstTree, DepSentence, Token, block_count, build_tree
 
 _VOCAB = (
     "apfel", "birne", "baum", "haus", "hund", "katze", "kind", "frau",
@@ -19,43 +19,6 @@ _VOCAB = (
 _TAGS = ("NN", "NE", "VVFIN", "ADJA", "ADV", "ART", "APPR", "KON")
 _LABELS = ("S", "NP", "VP", "PP", "AP", "AVP")
 _MORPHS = ("_", "case=nom", "case=acc|num=sg", "num=pl")
-
-
-def build_tree(token_specs, structure, sent_id=None) -> ConstTree:
-    """Convenience constructor.
-
-    ``token_specs`` is a list of (form, pos) pairs or ``Token`` objects;
-    ``structure`` is nested ``(label, [child, ...])`` with ``int`` leaves.
-    """
-    tokens = []
-    for i, spec in enumerate(token_specs):
-        if isinstance(spec, Token):
-            tokens.append(spec)
-        else:
-            form, pos = spec
-            tokens.append(Token(index=i, form=form, pos=pos))
-    nodes = {}
-    counter = [max(500, len(tokens))]
-
-    def mk(spec):
-        label, kids = spec
-        refs = []
-        covered = set()
-        for k in kids:
-            if isinstance(k, tuple):
-                ref = mk(k)
-                covered |= nodes[ref].leaves
-            else:
-                ref = k
-                covered.add(k)
-            refs.append(ref)
-        nid = counter[0]
-        counter[0] += 1
-        nodes[nid] = Node(nid, label, refs, frozenset(covered))
-        return nid
-
-    root_id = mk(structure)
-    return ConstTree(tokens, nodes, root_id, sent_id=sent_id).validate()
 
 
 # ------------------------------------------------------------ random trees

@@ -198,6 +198,45 @@ class ConstTree:
     __hash__ = None
 
 
+def build_tree(token_specs, structure, sent_id=None) -> ConstTree:
+    """The one place a tree's yields are derived: number the nodes of a
+    nested spec in post-order, give each the union of its children's
+    leaves, and validate.
+
+    ``token_specs`` is a list of (form, pos) pairs or ``Token`` objects;
+    ``structure`` is nested ``(label, [child, ...])`` with ``int`` leaves.
+    """
+    tokens = []
+    for i, spec in enumerate(token_specs):
+        if isinstance(spec, Token):
+            tokens.append(spec)
+        else:
+            form, pos = spec
+            tokens.append(Token(index=i, form=form, pos=pos))
+    nodes = {}
+    counter = [max(500, len(tokens))]
+
+    def mk(spec):
+        label, kids = spec
+        refs = []
+        covered = set()
+        for k in kids:
+            if isinstance(k, tuple):
+                ref = mk(k)
+                covered |= nodes[ref].leaves
+            else:
+                ref = k
+                covered.add(k)
+            refs.append(ref)
+        nid = counter[0]
+        counter[0] += 1
+        nodes[nid] = Node(nid, label, refs, frozenset(covered))
+        return nid
+
+    root_id = mk(structure)
+    return ConstTree(tokens, nodes, root_id, sent_id=sent_id).validate()
+
+
 @dataclass
 class DepSentence:
     """One dependency-annotated sentence; ``heads`` are 1-based, 0 = root."""
@@ -425,7 +464,11 @@ def _check_field(value, what):
 
 
 def export_block(tree, sent_id) -> str:
-    """Render one tree as a v4 export block (lemma column included)."""
+    """Render one tree as a v4 export block (lemma column included);
+    ``ValueError`` when the reader would refuse it for more than 500
+    terminals or nonterminals."""
+    if len(tree.tokens) > 500:
+        raise ValueError("cannot serialize more than 500 terminals as export")
     root = tree.root
     strip_root = root.label == FALLBACK_ROOT and len(root.children) >= 2
     order = []
@@ -445,6 +488,8 @@ def export_block(tree, sent_id) -> str:
         top_items = [tree.root_id]
         walk(tree.root_id)
 
+    if len(order) > 500:
+        raise ValueError("cannot serialize more than 500 nonterminals as export")
     new_id = {nid: 500 + k for k, nid in enumerate(order)}
     parent = {ref: 0 for ref in top_items}
     for nid in order:
@@ -475,11 +520,12 @@ def export_block(tree, sent_id) -> str:
 
 
 def write_export(trees, dest, header=None):
+    # render first: a tree the writer refuses leaves no partial file
+    blocks = [export_block(tree, tree.sent_id or str(k)) for k, tree in enumerate(trees, 1)]
     with _open_write(dest) as f:
         if header:
             f.write(f"%% {header}\n")
-        for k, tree in enumerate(trees, 1):
-            f.write(export_block(tree, tree.sent_id or str(k)))
+        f.writelines(blocks)
 
 
 # ---------------------------------------------------------- discbracket
@@ -492,16 +538,9 @@ def _unescape_form(form):
     return form.replace("-LRB-", "(").replace("-RRB-", ")")
 
 
-class _Phrase:
-    __slots__ = ("label", "children")
-
-    def __init__(self, label):
-        self.label = label
-        self.children = []
-
-
 def _parse_discbracket_line(line, lineno, sent_id):
     toks = _DISC_TOKEN_RE.findall(line)
+    # open brackets as (label, kids) specs for build_tree
     stack = []
     result = None
     expect_label = False
@@ -510,17 +549,16 @@ def _parse_discbracket_line(line, lineno, sent_id):
 
     def close():
         phrase = stack.pop()
-        if not phrase.children:
-            raise FormatError(f"empty bracket ({phrase.label})", line=lineno, sent_id=sent_id)
+        label, kids = phrase
+        if not kids:
+            raise FormatError(f"empty bracket ({label})", line=lineno, sent_id=sent_id)
         # the innermost bracket over a single terminal is that terminal's
         # tag; brackets above an already-tagged terminal stay phrases
-        if (stack and len(phrase.children) == 1
-                and isinstance(phrase.children[0], int)
-                and phrase.children[0] not in pos):
-            pos[phrase.children[0]] = phrase.label
-            stack[-1].children.append(phrase.children[0])
+        if stack and len(kids) == 1 and isinstance(kids[0], int) and kids[0] not in pos:
+            pos[kids[0]] = label
+            stack[-1][1].append(kids[0])
         elif stack:
-            stack[-1].children.append(phrase)
+            stack[-1][1].append(phrase)
         else:
             return phrase
         return None
@@ -533,7 +571,7 @@ def _parse_discbracket_line(line, lineno, sent_id):
         elif expect_label:
             if tok == ")":
                 raise FormatError("bracket without label", line=lineno, sent_id=sent_id)
-            stack.append(_Phrase(_unescape_form(tok)))
+            stack.append((_unescape_form(tok), []))
             if len(stack) > MAX_BRACKET_DEPTH:
                 raise FormatError(f"brackets nested deeper than {MAX_BRACKET_DEPTH}",
                                   line=lineno, sent_id=sent_id)
@@ -557,7 +595,7 @@ def _parse_discbracket_line(line, lineno, sent_id):
             if idx in forms:
                 raise FormatError(f"duplicate terminal index {idx}", line=lineno, sent_id=sent_id)
             forms[idx] = form
-            stack[-1].children.append(idx)
+            stack[-1][1].append(idx)
 
     if stack or result is None:
         raise FormatError("unbalanced brackets", line=lineno, sent_id=sent_id)
@@ -569,27 +607,7 @@ def _parse_discbracket_line(line, lineno, sent_id):
         raise FormatError(f"missing terminal index {missing[0]}", line=lineno, sent_id=sent_id)
 
     tokens = [Token(index=i, form=forms[i], pos=pos.get(i, "")) for i in range(n)]
-    nodes = {}
-    counter = [max(500, n)]
-
-    def build(phrase):
-        nid = counter[0]
-        counter[0] += 1
-        childrefs = []
-        covered = set()
-        for c in phrase.children:
-            if isinstance(c, int):
-                childrefs.append(c)
-                covered.add(c)
-            else:
-                sub = build(c)
-                childrefs.append(sub)
-                covered |= nodes[sub].leaves
-        nodes[nid] = Node(nid, phrase.label, childrefs, frozenset(covered))
-        return nid
-
-    root_id = build(result)
-    return ConstTree(tokens, nodes, root_id, sent_id=sent_id).validate()
+    return build_tree(tokens, result, sent_id=sent_id)
 
 
 def read_discbracket(source, strict=False):
@@ -611,7 +629,14 @@ def read_discbracket(source, strict=False):
 
 
 def discbracket_line(tree) -> str:
-    def render(ident):
+    """Render one tree as a discbracket line; ``ValueError`` when the
+    reader would refuse it for nesting deeper than ``MAX_BRACKET_DEPTH``."""
+    def render(ident, depth):
+        # ``depth`` counts this item's bracket as the reader counts open
+        # brackets, tag brackets included; checked before recursing deeper
+        if depth > MAX_BRACKET_DEPTH and (
+                ident in tree.nodes or tree.tokens[ident].pos not in ("", "--")):
+            raise ValueError(f"cannot serialize brackets nested deeper than {MAX_BRACKET_DEPTH}")
         if ident not in tree.nodes:
             tok = tree.tokens[ident]
             term = f"{ident}={_escape_form(_check_field(tok.form, 'form'))}"
@@ -619,18 +644,19 @@ def discbracket_line(tree) -> str:
                 return term
             return f"({_escape_form(_check_field(tok.pos, 'tag'))} {term})"
         node = tree.nodes[ident]
-        inner = " ".join(render(c) for c in tree.children_sorted(node))
+        inner = " ".join(render(c, depth + 1) for c in tree.children_sorted(node))
         return f"({_escape_form(_check_field(node.label, 'label'))} {inner})"
 
-    return render(tree.root_id)
+    return render(tree.root_id, 1)
 
 
 def write_discbracket(trees, dest, header=None):
+    # render first: a tree the writer refuses leaves no partial file
+    lines = [discbracket_line(tree) + "\n" for tree in trees]
     with _open_write(dest) as f:
         if header:
             f.write(f"%% {header}\n")
-        for tree in trees:
-            f.write(discbracket_line(tree) + "\n")
+        f.writelines(lines)
 
 
 # -------------------------------------------------------------- CoNLL-X

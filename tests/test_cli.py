@@ -409,8 +409,46 @@ def test_deeply_nested_discbracket_exits_without_traceback(
     for run in runs:
         assert "Traceback" not in run.stderr
         assert "nested deeper than" in run.stderr
-        # a strict run refuses the file; otherwise the line is skipped
-        assert run.returncode == (1 if strict else 0)
+    # a strict run refuses the file; otherwise the line is skipped, which
+    # leaves eval nothing to score
+    assert runs[0].returncode == (1 if strict else 0)
+    assert all(run.returncode == 1 for run in runs[1:])
+
+
+def test_parse_refuses_output_its_reader_would_skip(trained_models, tmp_path):
+    flat = tmp_path / "flat.dbr"
+    flat.write_text("(S " + " ".join(f"(NN {i}=w{i})" for i in range(516)) + ")\n")
+    out = tmp_path / "out.export"
+    run = run_cli("parse", trained_models["plain"]["model"], flat, out)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert "more than 500 terminals" in run.stderr
+    assert not out.exists()
+
+
+def test_eval_over_no_sentence_exits_1(toy_files, tmp_path, caplog):
+    const = str(toy_files["const"])
+    assert cli.main(["eval", const, const, "--maxlen", "1"]) == 1
+    bad = tmp_path / "bad.dbr"
+    bad.write_text("(S 0=a\n")
+    assert cli.main(["eval", str(bad), str(bad)]) == 1
+    assert "no sentence was scored" in caplog.text
+
+
+def test_format_and_config_only_where_read(trained_models, tmp_path, caplog):
+    conll, paths = tmp_path / "x.conll", tmp_path / "paths.txt"
+    write_conll([], conll)
+    paths.write_text("0101\thund\n")
+    assert cli.main(["cluster-check", str(paths), "--config", "/nonexistent.cfg"]) == 1
+    assert cli.main(["cluster-check", str(paths), "--format", "export"]) == 1
+    assert cli.main(["bigram-build", str(conll), str(tmp_path / "b.txt"),
+                     "--format", "export"]) == 1
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.dbr"
+    cfg.write_text("format=bogus\n")
+    assert cli.main(["parse", str(trained_models["plain"]["model"]),
+                     str(trained_models["held"]), str(out), "--config", str(cfg)]) == 1
+    assert "'bogus'" in caplog.text
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

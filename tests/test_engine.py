@@ -1,3 +1,4 @@
+import io
 import random
 
 import numpy as np
@@ -31,7 +32,7 @@ from discoparse.features import FeatureConfig
 from discoparse.headrules import CLOSED, LTR, RTL, HeadTable, TagClassification
 from discoparse.learner import WeightStore
 from discoparse.synthdata import build_tree, random_tree, toy_corpus, toy_sentence
-from discoparse.treebank import Token
+from discoparse.treebank import FALLBACK_ROOT, Token, discbracket_line, read_discbracket
 
 EMPTY_TABLE = HeadTable()
 
@@ -101,7 +102,7 @@ def test_build_head_side_table_miss_uses_action_side():
     left = apply_action(state, 0, Action(BUILD, "NP", LEFT), EMPTY_TABLE)[0]
     right = apply_action(state, 0, Action(BUILD, "NP", RIGHT), EMPTY_TABLE)[0]
     assert left.head_token == 0 and right.head_token == 1
-    assert left.yield_set == frozenset({0, 1})
+    assert state_to_tree([left], toks).root.leaves == frozenset({0, 1})
     assert left.min_orig == 0
 
 
@@ -132,7 +133,7 @@ def test_attach_splices_and_recomputes_head():
     state = apply_action(state, 0, Action(ATTACH, side=RIGHT), table)
     assert len(state) == 1
     root = state[0]
-    assert root.yield_set == frozenset({0, 1, 2})
+    assert state_to_tree([root], toks).root.leaves == frozenset({0, 1, 2})
     assert root.head_token == 2
     # on a table miss the absorber's old head is kept
     state2 = initial_state(toks)
@@ -528,3 +529,46 @@ def test_decoder_on_gold_paths_keeps_views_and_applicable(seed, n_tokens, degree
         dec.apply(*(ordered[0] if canonical else rng.choice(ordered)))
     assert state_to_tree(dec.state, tree.tokens) == tree
 
+
+def yield_of(item):
+    """An item's tokens by a walk over its children."""
+    if not item.is_phrase:
+        return {item.min_orig}
+    return set().union(*(yield_of(c) for c in item.children))
+
+
+def phrase_items(items):
+    for item in items:
+        if item.is_phrase:
+            yield item
+            yield from phrase_items(item.children)
+
+
+def labeled_yields(tree):
+    return sorted((n.label, sorted(n.leaves)) for n in tree.internal_nodes())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_tokens=st.integers(2, 16),
+       degree=st.integers(1, 3), canonical=st.booleans())
+def test_yields_follow_children_on_gold_paths(seed, n_tokens, degree, canonical):
+    rng = random.Random(seed)
+    tree = random_tree(rng, n_tokens=n_tokens, max_block_degree=degree, rich_tokens=False)
+    oracle = GoldOracle(tree, EMPTY_TABLE, ActionInventory(label_inventory([tree])))
+    state = initial_state(tree.tokens)
+    while True:
+        want = [(p.label, sorted(yield_of(p))) for p in phrase_items(state)]
+        if not (len(state) == 1 and state[0].is_phrase):
+            want.append((FALLBACK_ROOT, list(range(n_tokens))))
+        assert labeled_yields(state_to_tree(state, tree.tokens)) == sorted(want)
+        for item in state:
+            assert oracle.min_proj(item) == min(oracle.proj[t] for t in yield_of(item))
+        moves = oracle.gold_moves(state)
+        if not moves:
+            break
+        ordered = sorted(moves, key=_move_order)
+        state = apply_action(state, *(ordered[0] if canonical else rng.choice(ordered)),
+                             EMPTY_TABLE)
+    (back,) = read_discbracket(io.StringIO(discbracket_line(tree)), strict=True)
+    assert back == tree
+    assert labeled_yields(back) == labeled_yields(tree)

@@ -180,6 +180,46 @@ def test_discbracket_nesting_limit():
     assert read_discbracket(io.StringIO(nested_line(1200))) == []
 
 
+def nested_tree(phrases, tag):
+    structure = 0
+    for _ in range(phrases):
+        structure = ("S", [structure])
+    return synthdata.build_tree([("a", tag)], structure)
+
+
+def test_discbracket_writer_refuses_what_the_reader_refuses(tmp_path):
+    # test_discbracket_nesting_limit round-trips 200 brackets; the tag
+    # bracket counts, so 200 phrases over a tagged terminal are 201
+    with pytest.raises(ValueError, match="nested deeper than"):
+        discbracket_line(nested_tree(MAX_BRACKET_DEPTH, "X"))
+    # an untagged terminal opens no bracket
+    assert discbracket_line(nested_tree(MAX_BRACKET_DEPTH, "")).count("(") == MAX_BRACKET_DEPTH
+    # refused before rendering recurses as deep as the tree; no partial file
+    out = tmp_path / "out.dbr"
+    with pytest.raises(ValueError, match="nested deeper than"):
+        write_discbracket([nested_tree(1, "X"), nested_tree(450, "X")], out)
+    assert not out.exists()
+
+
+def flat_tree(n_tokens, wrap):
+    kids = [("NP", [i]) if wrap else i for i in range(n_tokens)]
+    return synthdata.build_tree([(f"w{i}", "NN") for i in range(n_tokens)], ("S", kids))
+
+
+@pytest.mark.parametrize("n_tokens, wrap, ok", [
+    (500, False, True), (501, False, False),   # terminals
+    (499, True, True), (500, True, False)])    # nonterminals: one NP per token, plus S
+def test_export_writer_refuses_what_the_reader_refuses(tmp_path, n_tokens, wrap, ok):
+    tree = flat_tree(n_tokens, wrap)
+    if ok:
+        assert roundtrip_export([tree]) == [tree]
+        return
+    out = tmp_path / "out.export"
+    with pytest.raises(ValueError, match="more than 500"):
+        write_export([flat_tree(3, wrap), tree], out)
+    assert not out.exists()
+
+
 def test_discbracket_roundtrip_random():
     rng = random.Random(202)
     trees = [synthdata.random_tree(rng, rich_tokens=False) for _ in range(100)]
