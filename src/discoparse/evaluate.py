@@ -175,17 +175,15 @@ def node_heads(tree, table) -> dict:
 def induced_governors(tree, table) -> list:
     """Governor token index per token: the head of the smallest
     constituent properly containing the token whose head is a different
-    token.  Tokens governed by nothing (the root path) get -1."""
+    token, which is the parent of the token's maximal projection.  Tokens
+    governed by nothing (the root path) get -1."""
     heads = node_heads(tree, table)
     gov = [_ROOT_GOV] * len(tree.tokens)
-    for t in range(len(tree.tokens)):
-        best = None
-        for nid, node in tree.nodes.items():
-            if t in node.leaves and heads[nid] != t:
-                if best is None or len(node.leaves) < best[0]:
-                    best = (len(node.leaves), nid)
-        if best is not None:
-            gov[t] = heads[best[1]]
+    for nid, head in heads.items():
+        for c in tree.nodes[nid].children:
+            h = heads.get(c, c)
+            if h != head:
+                gov[h] = head
     return gov
 
 

@@ -169,7 +169,8 @@ def _induce_order(instances):
 
 
 def induce_head_table(corpus, stats_out=None) -> HeadTable:
-    """Induce a head table from an ``AlignedCorpus``.
+    """Induce a head table from (tree, dep) pairs, as ``treebank.align``
+    returns them.
 
     ``stats_out``, when given, receives per-parent conflict statistics as a
     dict: parent -> (instance count, conflicting-instance count).

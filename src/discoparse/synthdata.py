@@ -8,8 +8,9 @@ experiment scripts stay reproducible.
 
 from __future__ import annotations
 
+from .evaluate import induced_governors
 from .headrules import LTR, RTL, HeadTable
-from .treebank import AlignedCorpus, ConstTree, DepSentence, Token, block_count, build_tree
+from .treebank import ConstTree, DepSentence, Token, block_count, build_tree
 
 _VOCAB = (
     "apfel", "birne", "baum", "haus", "hund", "katze", "kind", "frau",
@@ -211,8 +212,8 @@ def toy_sentence_of_length(rng, target_len, sent_id=None):
 
 
 def toy_corpus(count, seed_rng, patterns=(("plain", 0.3), ("objpp", 0.35), ("extra", 0.35)),
-               max_chain=2, max_advs=2) -> AlignedCorpus:
-    """A corpus of ``count`` toy sentences drawn from ``seed_rng``."""
+               max_chain=2, max_advs=2) -> list:
+    """``count`` toy sentences drawn from ``seed_rng``, as (tree, dep) pairs."""
     names = [p for p, _ in patterns]
     weights = [w for _, w in patterns]
     pairs = []
@@ -222,7 +223,7 @@ def toy_corpus(count, seed_rng, patterns=(("plain", 0.3), ("objpp", 0.35), ("ext
         advs = seed_rng.randint(0, max_advs)
         pairs.append(toy_sentence(seed_rng, pattern, pp_chain=chain, advs=advs,
                                   sent_id=str(i + 1)))
-    return AlignedCorpus(pairs)
+    return pairs
 
 
 # ------------------------------------------------------ planted head table
@@ -267,7 +268,8 @@ def _planted_structure(rng, label, depth, rule_labels):
 
 
 def planted_sentence(rng, table, sent_id=None):
-    """Random continuous tree whose dependencies follow ``table`` exactly."""
+    """Random continuous tree whose dependencies are its heads percolated
+    through ``table`` (``evaluate.induced_governors``)."""
     rule_labels = _planted_rule_labels(table)
     spec = _planted_structure(rng, rng.choice(PLANTED_LABELS),
                               rng.randint(1, 3), rule_labels)
@@ -285,32 +287,15 @@ def planted_sentence(rng, table, sent_id=None):
     structure = fill(spec)
     tree = build_tree(tokens, structure, sent_id=sent_id)
 
-    heads = [0] * len(tokens)
-
-    def head_token(nid):
-        node = tree.nodes[nid]
-        kids = tree.children_sorted(node)
-        labels = [tree.nodes[c].label if c in tree.nodes else tree.tokens[c].pos
-                  for c in kids]
-        pick = table.find_head_child(node.label, labels, default=0)
-        chosen = kids[pick]
-        own = head_token(chosen) if chosen in tree.nodes else chosen
-        for k, c in enumerate(kids):
-            if k == pick:
-                continue
-            sub = head_token(c) if c in tree.nodes else c
-            heads[sub] = own + 1
-        return own
-
-    root_head = head_token(tree.root_id)
-    heads[root_head] = 0
+    heads = [g + 1 for g in induced_governors(tree, table)]
     dep = DepSentence(tree.tokens, heads, ["dep"] * len(tokens),
                       sent_id=sent_id or "").validate()
     return tree, dep
 
 
 def planted_corpus(rng, count=500) -> tuple:
-    """(AlignedCorpus, planted HeadTable) for induction-recovery checks."""
+    """(list of (tree, dep) pairs, planted HeadTable) for induction-recovery
+    checks: ``induce_head_table`` should recover the table from the pairs."""
     table = planted_head_table()
     pairs = [planted_sentence(rng, table, sent_id=str(i + 1)) for i in range(count)]
-    return AlignedCorpus(pairs), table
+    return pairs, table

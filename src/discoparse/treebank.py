@@ -199,9 +199,9 @@ class ConstTree:
 
 
 def build_tree(token_specs, structure, sent_id=None) -> ConstTree:
-    """The one place a tree's yields are derived: number the nodes of a
-    nested spec in post-order, give each the union of its children's
-    leaves, and validate.
+    """The one place a tree is made: number the nodes of a nested spec in
+    post-order, give each the union of its children's leaves, and
+    validate.  Both readers, the decoder and the generators call it.
 
     ``token_specs`` is a list of (form, pos) pairs or ``Token`` objects;
     ``structure`` is nested ``(label, [child, ...])`` with ``int`` leaves.
@@ -271,22 +271,6 @@ class DepSentence:
         """Form of token i's governor, or ``root_form`` when attached to 0."""
         h = self.heads[i]
         return root_form if h == 0 else self.tokens[h - 1].form
-
-
-@dataclass
-class AlignedCorpus:
-    """Paired constituent and dependency views of the same sentences."""
-
-    sentences: list
-
-    def __len__(self):
-        return len(self.sentences)
-
-    def __iter__(self):
-        return iter(self.sentences)
-
-    def __getitem__(self, i):
-        return self.sentences[i]
 
 
 def _open_read(source):
@@ -398,49 +382,32 @@ def _tree_from_export_block(sent_id, rows):
     for nid in sorted(nodespecs):
         lineno, _label, parent_id = nodespecs[nid]
         attach(parent_id, nid, lineno)
+    for nid, (lineno, _label, _parent_id) in nodespecs.items():
+        if not children[nid]:
+            raise FormatError(f"node #{nid} has no children", line=lineno, sent_id=sent_id)
 
-    # resolve yields bottom-up, catching parent-link cycles
-    leaves = {}
-    state = {}
-    for start in nodespecs:
-        if start in state:
-            continue
-        stack = [start]
-        while stack:
-            cur = stack[-1]
-            if state.get(cur) == 1:
-                stack.pop()
-                continue
-            if state.get(cur) == 0:
-                got = set()
-                for c in children[cur]:
-                    got.update(leaves[c] if c in nodespecs else (c,))
-                leaves[cur] = frozenset(got)
-                state[cur] = 1
-                stack.pop()
-                continue
-            if not children[cur]:
-                lineno = nodespecs[cur][0]
-                raise FormatError(f"node #{cur} has no children", line=lineno, sent_id=sent_id)
-            state[cur] = 0
-            for c in children[cur]:
-                if c in nodespecs:
-                    if state.get(c) == 0:
-                        raise FormatError(f"cycle in parent links involving #{c}",
-                                          line=nodespecs[c][0], sent_id=sent_id)
-                    if c not in state:
-                        stack.append(c)
+    # parent links as a build_tree spec; a plain loop keeps one frame per level
+    reached = set()
 
-    nodes = {nid: Node(nid, nodespecs[nid][1], children[nid], leaves[nid])
-             for nid in nodespecs}
+    def spec(nid):
+        reached.add(nid)
+        kids = []
+        for c in children[nid]:
+            kids.append(spec(c) if c in nodespecs else c)
+        return (nodespecs[nid][1], kids)
+
+    top_specs = [spec(ref) if ref in nodespecs else ref for ref in top]
+    # every nonterminal has one parent, so one the top never reaches
+    # sits on a cycle or below one
+    if len(reached) < len(nodespecs):
+        nid = min(set(nodespecs) - reached)
+        raise FormatError(f"cycle in parent links involving #{nid}",
+                          line=nodespecs[nid][0], sent_id=sent_id)
     if not top:
         raise FormatError("no top-level items", sent_id=sent_id)
-    if len(top) == 1 and top[0] in nodes:
-        root_id = top[0]
-    else:
-        root_id = max(500, max(nodespecs, default=499) + 1)
-        nodes[root_id] = Node(root_id, FALLBACK_ROOT, list(top), frozenset(range(len(tokens))))
-    return ConstTree(tokens, nodes, root_id, sent_id=sent_id).validate()
+    single = len(top) == 1 and top[0] in nodespecs
+    return build_tree(tokens, top_specs[0] if single else (FALLBACK_ROOT, top_specs),
+                      sent_id=sent_id)
 
 
 def read_export(source, strict=False):
@@ -466,7 +433,8 @@ def _check_field(value, what):
 def export_block(tree, sent_id) -> str:
     """Render one tree as a v4 export block (lemma column included);
     ``ValueError`` when the reader would refuse it for more than 500
-    terminals or nonterminals."""
+    terminals or nonterminals, or read a form like ``#512`` or ``#EOS`` as
+    a nonterminal id or a block marker."""
     if len(tree.tokens) > 500:
         raise ValueError("cannot serialize more than 500 terminals as export")
     root = tree.root
@@ -498,6 +466,9 @@ def export_block(tree, sent_id) -> str:
 
     lines = [f"#BOS {sent_id}"]
     for tok in tree.tokens:
+        if _NONTERM_RE.match(tok.form) or tok.form.startswith(("#BOS", "#EOS")):
+            raise ValueError(f"cannot serialize form {tok.form!r} as export: "
+                             "it reads as a nonterminal id or a block marker")
         lines.append("\t".join((
             _check_field(tok.form, "form"),
             tok.lemma if tok.lemma else "--",
@@ -630,20 +601,26 @@ def read_discbracket(source, strict=False):
 
 def discbracket_line(tree) -> str:
     """Render one tree as a discbracket line; ``ValueError`` when the
-    reader would refuse it for nesting deeper than ``MAX_BRACKET_DEPTH``."""
+    reader would refuse it for nesting deeper than ``MAX_BRACKET_DEPTH``,
+    or read a phrase over one untagged terminal back as that terminal's tag."""
+    def untagged(ident):
+        return ident not in tree.nodes and tree.tokens[ident].pos in ("", "--")
+
     def render(ident, depth):
         # ``depth`` counts this item's bracket as the reader counts open
         # brackets, tag brackets included; checked before recursing deeper
-        if depth > MAX_BRACKET_DEPTH and (
-                ident in tree.nodes or tree.tokens[ident].pos not in ("", "--")):
+        if depth > MAX_BRACKET_DEPTH and not untagged(ident):
             raise ValueError(f"cannot serialize brackets nested deeper than {MAX_BRACKET_DEPTH}")
         if ident not in tree.nodes:
             tok = tree.tokens[ident]
             term = f"{ident}={_escape_form(_check_field(tok.form, 'form'))}"
-            if tok.pos in ("", "--"):
+            if untagged(ident):
                 return term
             return f"({_escape_form(_check_field(tok.pos, 'tag'))} {term})"
         node = tree.nodes[ident]
+        if len(node.children) == 1 and untagged(node.children[0]):
+            raise ValueError(f"cannot serialize phrase {node.label!r} over the untagged "
+                             f"terminal {node.children[0]}")
         inner = " ".join(render(c, depth + 1) for c in tree.children_sorted(node))
         return f"({_escape_form(_check_field(node.label, 'label'))} {inner})"
 
@@ -748,8 +725,9 @@ def write_conll(sentences, dest, header=None):
 
 # ---------------------------------------------------------------- align
 
-def align(trees, dep_sentences) -> AlignedCorpus:
-    """Pair the constituent and dependency views sentence by sentence.
+def align(trees, dep_sentences) -> list:
+    """Pair the constituent and dependency views sentence by sentence into
+    a list of (tree, dep) pairs.
 
     Both corpora must have the same sentence count and identical token
     forms; any divergence raises ``AlignmentError`` naming the spot.
@@ -770,4 +748,4 @@ def align(trees, dep_sentences) -> AlignedCorpus:
                     f"form mismatch at sentence {i}, token {j}: "
                     f"{a.form!r} vs {b.form!r}")
         pairs.append((tree, dep))
-    return AlignedCorpus(pairs)
+    return pairs

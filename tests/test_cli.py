@@ -415,6 +415,19 @@ def test_deeply_nested_discbracket_exits_without_traceback(
     assert all(run.returncode == 1 for run in runs[1:])
 
 
+def test_eval_reads_the_deepest_export_chain(toy_files, tmp_path):
+    # 500 nonterminals, all the export id convention allows, in one unary chain
+    rows = ["#BOS 1", "a\t--\tNN\t--\t--\t500"]
+    rows += [f"#{nid}\t--\tNP\t--\t--\t{nid + 1 if nid < 999 else 0}"
+             for nid in range(500, 1000)]
+    chain = tmp_path / "chain.export"
+    chain.write_text("\n".join([*rows, "#EOS 1"]) + "\n")
+    run = run_cli("eval", chain, chain, "--head-table", toy_files["table"])
+    assert "Traceback" not in run.stderr
+    assert run.returncode == 0
+    assert "sentences    1" in run.stdout
+
+
 def test_parse_refuses_output_its_reader_would_skip(trained_models, tmp_path):
     flat = tmp_path / "flat.dbr"
     flat.write_text("(S " + " ".join(f"(NN {i}=w{i})" for i in range(516)) + ")\n")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discoparse.evaluate import (
     EvalConfig,
@@ -13,8 +15,15 @@ from discoparse.evaluate import (
     sentence_brackets,
     uas,
 )
-from discoparse.headrules import LTR, HeadTable, TagClassification
-from discoparse.synthdata import build_tree, random_tree
+from discoparse.headrules import LTR, HeadTable, TagClassification, induce_head_table
+from discoparse.synthdata import (
+    build_tree,
+    planted_head_table,
+    planted_sentence,
+    random_tree,
+    toy_corpus,
+    toy_sentence_of_length,
+)
 from discoparse.treebank import AlignmentError, ConstTree
 
 PUNCT_TAGS = TagClassification({"$.": "punctuation", "$,": "punctuation"})
@@ -332,3 +341,47 @@ def test_matches_brute_force_on_random_pairs(seed):
         assert rep.recall == ref["recall"]
         assert rep.f1 == ref["f1"]
         assert rep.exact == ref["exact"]
+
+
+# ---------------------------------------------- governor reference
+
+def reference_governors(tree, table):
+    """Per token, the head of the smallest constituent that contains it
+    and is headed by another token, found by scanning every node."""
+    heads = node_heads(tree, table)
+    gov = [-1] * len(tree.tokens)
+    for t in range(len(tree.tokens)):
+        best = None
+        for nid, node in tree.nodes.items():
+            if t in node.leaves and heads[nid] != t:
+                if best is None or len(node.leaves) < best[0]:
+                    best = (len(node.leaves), nid)
+        if best is not None:
+            gov[t] = heads[best[1]]
+    return gov
+
+
+GOVERNOR_TABLES = {
+    "planted": planted_head_table(),
+    "toy": induce_head_table(toy_corpus(60, random.Random(3))),
+    "uas": UAS_TABLE,
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["random", "toy", "planted"]),
+       table=st.sampled_from(sorted(GOVERNOR_TABLES)),
+       unary_prob=st.sampled_from([0.0, 0.15, 0.6]))
+def test_induced_governors_equal_smallest_containing_constituent(seed, kind, table, unary_prob):
+    rng = random.Random(seed)
+    if kind == "random":
+        tree = random_tree(rng, n_tokens=rng.randint(2, 14), unary_prob=unary_prob)
+    elif kind == "toy":
+        tree, _ = toy_sentence_of_length(rng, rng.randint(6, 20))
+    else:
+        tree, dep = planted_sentence(rng, GOVERNOR_TABLES["planted"])
+        ref = reference_governors(tree, GOVERNOR_TABLES["planted"])
+        assert dep.heads == [g + 1 for g in ref]
+    table = GOVERNOR_TABLES[table]
+    assert induced_governors(tree, table) == reference_governors(tree, table)

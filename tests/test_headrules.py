@@ -25,7 +25,7 @@ from discoparse.headrules import (
     load_upos_map,
     observed_heads,
 )
-from discoparse.treebank import AlignedCorpus, DepSentence, Token
+from discoparse.treebank import DepSentence, Token
 
 
 def make_pair(token_specs, structure, heads):
@@ -155,8 +155,7 @@ def test_induce_head_table_singleton_rule_and_merging():
             ("S", [("NP", [0, 1]), ("VP", [2])]),
             [2, 3, 0],
         ))
-    corpus = AlignedCorpus(pairs)
-    table = induce_head_table(corpus)
+    table = induce_head_table(pairs)
     assert table.rules["S"] == [(LTR, ["VP"])]
     assert table.rules["NP"] == [(LTR, ["NN"])]
     assert table.rules["VP"] == [(LTR, ["VVFIN"])]
@@ -171,7 +170,7 @@ def test_induce_head_table_merges_same_direction_runs():
     for _ in range(2):
         pairs.append(make_pair(
             [("y", "E"), ("z", "E")], ("Z", [0, 1]), [2, 0]))
-    table = induce_head_table(AlignedCorpus(pairs))
+    table = induce_head_table(pairs)
     assert table.rules["Z"] == [(LTR, ["D"]), (RTL, ["E"])]
 
 

@@ -49,16 +49,18 @@ c\tX\t--\t--\t500
 """
 
 
-def roundtrip_export(trees):
+def written(write, trees):
     buf = io.StringIO()
-    write_export(trees, buf)
-    return read_export(io.StringIO(buf.getvalue()), strict=True)
+    write(trees, buf)
+    return buf.getvalue()
+
+
+def roundtrip_export(trees):
+    return read_export(io.StringIO(written(write_export, trees)), strict=True)
 
 
 def roundtrip_discbracket(trees):
-    buf = io.StringIO()
-    write_discbracket(trees, buf)
-    return read_discbracket(io.StringIO(buf.getvalue()), strict=True)
+    return read_discbracket(io.StringIO(written(write_discbracket, trees)), strict=True)
 
 
 def test_export_discontinuous_yields():
@@ -104,15 +106,28 @@ def test_export_bos_eos_mismatch():
 
 
 def test_export_cycle():
-    bad = "\n".join([
-        "#BOS 1",
-        "a\tla\tX\t--\t--\t500",
-        "#500\t--\tVP\t--\t--\t501",
-        "#501\t--\tNP\t--\t--\t500",
-        "#EOS 1",
-    ]) + "\n"
-    with pytest.raises(FormatError, match="cycle"):
-        read_export(io.StringIO(bad), strict=True)
+    for rows in [
+        ["a\tla\tX\t--\t--\t500",
+         "#500\t--\tVP\t--\t--\t501",
+         "#501\t--\tNP\t--\t--\t500"],
+        # a node that hangs below the cycle
+        ["a\tla\tX\t--\t--\t502",
+         "#500\t--\tVP\t--\t--\t501",
+         "#501\t--\tNP\t--\t--\t500",
+         "#502\t--\tAP\t--\t--\t500"],
+        # a cycle beside a valid top item
+        ["a\tla\tX\t--\t--\t502",
+         "b\tlb\tY\t--\t--\t500",
+         "#500\t--\tVP\t--\t--\t501",
+         "#501\t--\tNP\t--\t--\t500",
+         "#502\t--\tS\t--\t--\t0"],
+    ]:
+        bad = "\n".join(["#BOS 1", *rows, "#EOS 1"]) + "\n"
+        with pytest.raises(FormatError, match="cycle in parent links involving #500") as err:
+            read_export(io.StringIO(bad), strict=True)
+        assert "line" in str(err.value)
+        assert err.value.line == 2 + next(k for k, row in enumerate(rows)
+                                          if row.startswith("#500"))
 
 
 def test_export_multiple_top_items_get_root():
@@ -134,6 +149,8 @@ def test_export_roundtrip_random():
     rng = random.Random(101)
     trees = [synthdata.random_tree(rng) for _ in range(100)]
     assert roundtrip_export(trees) == trees
+    text = written(write_export, trees)
+    assert written(write_export, roundtrip_export(trees)) == text
 
 
 def test_discbracket_basic():
@@ -180,11 +197,11 @@ def test_discbracket_nesting_limit():
     assert read_discbracket(io.StringIO(nested_line(1200))) == []
 
 
-def nested_tree(phrases, tag):
-    structure = 0
-    for _ in range(phrases):
+def nested_tree(phrases, tag, width=1):
+    structure = ("S", list(range(width)))
+    for _ in range(phrases - 1):
         structure = ("S", [structure])
-    return synthdata.build_tree([("a", tag)], structure)
+    return synthdata.build_tree([(f"w{i}", tag) for i in range(width)], structure)
 
 
 def test_discbracket_writer_refuses_what_the_reader_refuses(tmp_path):
@@ -193,7 +210,8 @@ def test_discbracket_writer_refuses_what_the_reader_refuses(tmp_path):
     with pytest.raises(ValueError, match="nested deeper than"):
         discbracket_line(nested_tree(MAX_BRACKET_DEPTH, "X"))
     # an untagged terminal opens no bracket
-    assert discbracket_line(nested_tree(MAX_BRACKET_DEPTH, "")).count("(") == MAX_BRACKET_DEPTH
+    assert (discbracket_line(nested_tree(MAX_BRACKET_DEPTH, "", width=2)).count("(")
+            == MAX_BRACKET_DEPTH)
     # refused before rendering recurses as deep as the tree; no partial file
     out = tmp_path / "out.dbr"
     with pytest.raises(ValueError, match="nested deeper than"):
@@ -220,10 +238,40 @@ def test_export_writer_refuses_what_the_reader_refuses(tmp_path, n_tokens, wrap,
     assert not out.exists()
 
 
+def test_export_writer_refuses_a_form_read_as_a_row_marker(tmp_path):
+    out = tmp_path / "out.export"
+    for form in ("#512", "#BOS", "#EOS"):
+        tree = synthdata.build_tree([(form, "NN"), ("b", "NN")], ("S", [0, 1]))
+        with pytest.raises(ValueError, match=f"cannot serialize form '{form}'"):
+            write_export([flat_tree(3, False), tree], out)
+        assert not out.exists()
+    # outside the 500-999 id range such a form is an ordinary token
+    for form in ("#499", "#1000", "#", "#5x2"):
+        tree = synthdata.build_tree([(form, "NN"), ("b", "NN")], ("S", [0, 1]))
+        assert roundtrip_export([tree]) == [tree]
+
+
+def test_discbracket_writer_refuses_a_phrase_over_one_untagged_terminal(tmp_path):
+    # the reader would take NP for token 0's tag and lose the phrase
+    tree = synthdata.build_tree([("a", ""), ("b", "NN")], ("S", [("NP", [0]), 1]))
+    out = tmp_path / "out.dbr"
+    with pytest.raises(ValueError, match="'NP' over the untagged terminal 0"):
+        write_discbracket([flat_tree(3, True), tree], out)
+    assert not out.exists()
+    with pytest.raises(ValueError, match="untagged terminal"):
+        discbracket_line(nested_tree(MAX_BRACKET_DEPTH, ""))
+    # over a tagged terminal, or over two untagged ones, the phrase survives
+    for ok in (synthdata.build_tree([("a", "X"), ("b", "NN")], ("S", [("NP", [0]), 1])),
+               synthdata.build_tree([("a", ""), ("b", "")], ("S", [("NP", [0, 1])]))):
+        assert roundtrip_discbracket([ok]) == [ok]
+
+
 def test_discbracket_roundtrip_random():
     rng = random.Random(202)
     trees = [synthdata.random_tree(rng, rich_tokens=False) for _ in range(100)]
     assert roundtrip_discbracket(trees) == trees
+    text = written(write_discbracket, trees)
+    assert written(write_discbracket, roundtrip_discbracket(trees)) == text
 
 
 def test_discbracket_escapes_parens():
