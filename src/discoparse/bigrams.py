@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .treebank import _open_read, _open_write
+from .treebank import _open_write, data_lines
 
 ROOT = "*ROOT*"
 
@@ -23,30 +23,11 @@ class Bucket(IntEnum):
     HI = 3
 
 
-@dataclass
-class PairCounts:
+def count_pairs(sentences) -> Counter:
     """Raw (governor form, dependent form) counts; root-governed tokens
     use the governor form ``*ROOT*``."""
-
-    pairs: Counter = field(default_factory=Counter)
-
-    @property
-    def total(self):
-        return sum(self.pairs.values())
-
-    def add_sentence(self, dep):
-        for i, tok in enumerate(dep.tokens):
-            self.pairs[(dep.governor_form(i, ROOT), tok.form)] += 1
-
-    def __len__(self):
-        return len(self.pairs)
-
-
-def count_pairs(sentences) -> PairCounts:
-    counts = PairCounts()
-    for dep in sentences:
-        counts.add_sentence(dep)
-    return counts
+    return Counter((dep.governor_form(i, ROOT), tok.form)
+                   for dep in sentences for i, tok in enumerate(dep.tokens))
 
 
 def g_squared(o11, row1, col1, n):
@@ -120,34 +101,47 @@ class BigramAssocModel:
 
     @classmethod
     def load(cls, source):
-        with _open_read(source) as f:
-            lines = [line.rstrip("\n") for line in f]
-        it = iter((n, line) for n, line in enumerate(lines, 1)
-                  if not line.startswith("#"))
+        """Read a file written by ``save``.  What ``query`` could trip over
+        later (a scored head without thresholds, a short line, lines past
+        the declared counts) raises ``ValueError`` naming its line."""
+        lines = data_lines(source)
+        lineno = 0
 
-        def expect(tag):
-            lineno, line = next(it)
+        def row(tag, *kinds):
+            """Fields of the next data line, converted by ``kinds``; ``tag``,
+            when given, must be the first field."""
+            nonlocal lineno
+            lineno, line = next(lines, (lineno, None))
+            if line is None:
+                raise ValueError(f"bigram model ends early, after line {lineno}")
             fields = line.split("\t")
-            if len(fields) != 2 or fields[0] != tag:
-                raise ValueError(f"bigram model line {lineno}: expected {tag!r} header")
-            return fields[1]
+            if len(fields) != len(kinds) or tag and fields[0] != tag:
+                want = f"a {tag!r} header" if tag else f"{len(kinds)} tab-separated fields"
+                raise ValueError(f"bigram model line {lineno}: expected {want}")
+            try:
+                return [kind(x) for kind, x in zip(kinds, fields)]
+            except ValueError as e:
+                raise ValueError(f"bigram model line {lineno}: {e}") from None
 
-        try:
-            scorer = expect("scorer")
-            if scorer not in SCORERS:
-                raise ValueError(f"unknown scorer kind {scorer!r}")
-            scores = {}
-            for _ in range(int(expect("pairs"))):
-                lineno, line = next(it)
-                head, dep, val = line.split("\t")
-                scores.setdefault(head, {})[dep] = float(val)
-            thresholds = {}
-            for _ in range(int(expect("thresholds"))):
-                lineno, line = next(it)
-                head, hi_cut, mi_cut = line.split("\t")
-                thresholds[head] = (float(hi_cut), float(mi_cut))
-        except StopIteration:
-            raise ValueError(f"bigram model ends early, after line {len(lines)}") from None
+        scorer = row("scorer", str, str)[1]
+        if scorer not in SCORERS:
+            raise ValueError(f"bigram model line {lineno}: unknown scorer kind {scorer!r}")
+        scores = {}
+        first_seen = {}
+        for _ in range(row("pairs", str, int)[1]):
+            head, dep, val = row(None, str, str, float)
+            scores.setdefault(head, {})[dep] = val
+            first_seen.setdefault(head, lineno)
+        thresholds = {}
+        for _ in range(row("thresholds", str, int)[1]):
+            head, hi_cut, mi_cut = row(None, str, float, float)
+            thresholds[head] = (hi_cut, mi_cut)
+        for head, at in first_seen.items():
+            if head not in thresholds:
+                raise ValueError(f"bigram model line {at}: head {head!r} has no thresholds")
+        extra = next(lines, None)
+        if extra is not None:
+            raise ValueError(f"bigram model line {extra[0]}: data after the last threshold")
         return cls(scorer, scores, thresholds)
 
 
@@ -172,7 +166,7 @@ def score_counts(counts, scorer, min_count=2) -> BigramAssocModel:
     """
     if scorer not in SCORERS:
         raise ValueError(f"unknown scorer kind {scorer!r}")
-    kept = {pair: c for pair, c in counts.pairs.items() if c >= min_count}
+    kept = {pair: c for pair, c in counts.items() if c >= min_count}
     head_marginal = Counter()
     dep_marginal = Counter()
     for (head, dep), c in kept.items():

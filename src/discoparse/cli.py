@@ -9,13 +9,11 @@ level comes from the DISCOPARSE_LOG environment variable only.
 import argparse
 import dataclasses
 import hashlib
-import io
 import json
 import logging
 import os
 import sys
 from collections import Counter
-from itertools import zip_longest
 from pathlib import Path
 
 from .bigrams import SCORERS, BigramAssocModel, count_pairs, score_counts
@@ -37,6 +35,7 @@ from .treebank import (
     AlignmentError,
     FormatError,
     align,
+    data_lines,
     read_conll,
     read_discbracket,
     read_export,
@@ -60,17 +59,13 @@ def _setup_logging():
 
 
 def read_config_file(path) -> dict:
-    """key=value lines; blank lines and # comments ignored."""
+    """key=value lines; blank lines and comments are skipped."""
     out = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config file line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in data_lines(path):
+        if "=" not in line:
+            raise ValueError(f"config file line {lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -209,7 +204,7 @@ def _build_parser(store, feat, labels, blobs):
     resource name -> file bytes as a model file bundles them."""
     def load(name, loader):
         if name in blobs:
-            return loader(io.TextIOWrapper(io.BytesIO(blobs[name]), encoding="utf-8"))
+            return loader(blobs[name])
     return EasyFirstParser(store, feat, load("head_table", HeadTable.load), labels,
                            tagclass=load("tags", TagClassification.load),
                            lexicon=load("clusters", load_clusters),
@@ -238,24 +233,22 @@ def load_parser(path):
     return _build_parser(store, feat, labels, store.blobs)
 
 
-def _content_lines(lines):
-    return (line.rstrip(b"\r\n") for line in lines if not line.startswith(b"#"))
-
-
 def _check_resources(bundled, paths):
-    """A resource file given at parse time must have the lines of the one
-    in the model, so a model never parses with other resources.  "#" lines
-    (the "# config" header records how a file was made) are not compared."""
+    """A resource file given at parse time must have the data lines of the
+    one in the model, so a model never parses with other resources.  Blank
+    and comment lines (the "# config" header records how a file was made)
+    are not compared, as the loaders do not read them."""
+    def lines(source):
+        yield from (line for _, line in data_lines(source))
+        yield None  # so that files of different lengths differ
     for name, path in paths.items():
         if not path:
             continue
         flag = "--" + name.replace("_", "-")
         if name not in bundled:
             raise ValueError(f"{flag} {path}: the model was trained without one")
-        with open(path, "rb") as f:
-            pairs = zip_longest(_content_lines(f), _content_lines(io.BytesIO(bundled[name])))
-            if any(a != b for a, b in pairs):
-                raise ValueError(f"{flag} {path} differs from the file trained with")
+        if any(a != b for a, b in zip(lines(path), lines(bundled[name]))):
+            raise ValueError(f"{flag} {path} differs from the file trained with")
 
 
 def cmd_train(args) -> int:

@@ -4,7 +4,7 @@ truncation for coarser cluster granularities."""
 import logging
 from dataclasses import dataclass, field
 
-from .treebank import _open_read
+from .treebank import data_lines
 
 logger = logging.getLogger(__name__)
 
@@ -31,16 +31,12 @@ class ClusterLexicon:
     """Immutable after load; lookups are total (misses give ``UNK``)."""
 
     paths: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
 
     def lookup(self, form) -> str:
         return self.paths.get(form, UNK)
 
     def __len__(self):
         return len(self.paths)
-
-    def __contains__(self, form):
-        return form in self.paths
 
 
 def _valid_path(path):
@@ -55,39 +51,32 @@ def load_clusters(source, strict=False) -> ClusterLexicon:
     occurrence.
     """
     paths = {}
-    counts = {}
     skipped = 0
-    with _open_read(source) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            problem = None
-            if len(fields) < 2:
-                problem = "missing tab"
-            elif not _valid_path(fields[0]):
-                problem = f"path {fields[0]!r} not a non-empty 0/1 string"
-            elif len(fields) >= 3:
-                try:
-                    count = int(fields[2])
-                except ValueError:
-                    problem = f"count {fields[2]!r} not an integer"
-            if problem is not None:
-                if strict:
-                    raise ValueError(f"cluster file line {lineno}: {problem}")
-                skipped += 1
-                if skipped <= 10:
-                    logger.warning("cluster file line %d: %s (skipped)", lineno, problem)
-                continue
-            word = fields[1]
-            if word in paths:
-                logger.warning("cluster file line %d: duplicate word %r (keeping first)",
-                               lineno, word)
-                continue
-            paths[word] = fields[0]
-            if len(fields) >= 3:
-                counts[word] = count
+    for lineno, line in data_lines(source):
+        fields = line.split("\t")
+        problem = None
+        if len(fields) < 2:
+            problem = "missing tab"
+        elif not _valid_path(fields[0]):
+            problem = f"path {fields[0]!r} not a non-empty 0/1 string"
+        elif len(fields) >= 3:
+            try:
+                int(fields[2])
+            except ValueError:
+                problem = f"count {fields[2]!r} not an integer"
+        if problem is not None:
+            if strict:
+                raise ValueError(f"cluster file line {lineno}: {problem}")
+            skipped += 1
+            if skipped <= 10:
+                logger.warning("cluster file line %d: %s (skipped)", lineno, problem)
+            continue
+        word = fields[1]
+        if word in paths:
+            logger.warning("cluster file line %d: duplicate word %r (keeping first)",
+                           lineno, word)
+            continue
+        paths[word] = fields[0]
     if skipped > 10:
         logger.warning("cluster file: %d malformed lines skipped in total", skipped)
-    return ClusterLexicon(paths, counts)
+    return ClusterLexicon(paths)

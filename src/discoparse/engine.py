@@ -144,7 +144,7 @@ def _surface_head(table, label, parts, default_head):
     """Head token for a phrase over ``parts``, by table lookup over the
     surface-ordered child labels; the caller's default wins on a miss."""
     ordered = sorted(parts, key=lambda p: p.min_orig)
-    k = table.find_head_child_or_none(label, [p.label for p in ordered])
+    k = table.find_head_child(label, [p.label for p in ordered], None)
     return ordered[k].head_token if k is not None else default_head
 
 
@@ -325,8 +325,8 @@ class GoldOracle:
                         and gi not in partial_gold):
                     lab = self.label[gi]
                     ordered = sorted((left, right), key=lambda p: p.min_orig)
-                    k = self.table.find_head_child_or_none(
-                        lab, [p.label for p in ordered])
+                    k = self.table.find_head_child(
+                        lab, [p.label for p in ordered], None)
                     side = LEFT if k is None or ordered[k] is left else RIGHT
                     out.add((i, inv.build(lab, side)))
             elif mi[0] == _COMPLETE and mj[0] == _PARTIAL:
@@ -498,6 +498,8 @@ class EasyFirstParser:
         """
         if not trees:
             raise ValueError("empty training corpus")
+        if epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {epochs}")
         rng = random.Random(seed)
         order = list(range(len(trees)))
         stats = {"epochs": []}

@@ -14,7 +14,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .treebank import _open_read, _open_write
+from .treebank import _open_write, data_lines
 
 logger = logging.getLogger(__name__)
 
@@ -37,7 +37,6 @@ class PhraseObservation:
     parent_label: str
     child_labels: list
     head_positions: frozenset
-    head_tokens: frozenset
 
 
 def observed_heads(tree, dep) -> list:
@@ -64,7 +63,7 @@ def observed_heads(tree, dep) -> list:
                 if c in actual:
                     head_positions.add(k)
         out.append(PhraseObservation(node.label, child_labels,
-                                     frozenset(head_positions), actual))
+                                     frozenset(head_positions)))
     return out
 
 
@@ -81,22 +80,19 @@ class HeadTable:
 
     def find_head_child(self, parent_label, child_labels, default=0):
         """Index of the head child, or ``default`` when no rule matches."""
-        pos = self.find_head_child_or_none(parent_label, child_labels)
-        return default if pos is None else pos
-
-    def find_head_child_or_none(self, parent_label, child_labels):
         for direction, labels in self.rules.get(parent_label, ()):
             order = range(len(child_labels))
             if direction == RTL:
-                order = reversed(order)
-            order = list(order)
+                order = order[::-1]
             for lab in labels:
                 for k in order:
                     if child_labels[k] == lab:
                         return k
-        return None
+        return default
 
     def save(self, dest, header=None):
+        if "#" in self.rules:
+            raise ValueError("head table: parent label '#' would read back as a comment")
         with _open_write(dest) as f:
             if header:
                 f.write(f"# {header}\n")
@@ -107,19 +103,15 @@ class HeadTable:
     @classmethod
     def load(cls, source):
         rules = {}
-        with _open_read(source) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.strip()
-                if not line or line.startswith(("#", "%")):
-                    continue
-                fields = line.split()
-                if len(fields) < 2:
-                    raise ValueError(f"head table line {lineno}: expected 'PARENT direction ...'")
-                parent, direction, *labels = fields
-                direction = {"left": LTR, "right": RTL}.get(direction, direction)
-                if direction not in (LTR, RTL):
-                    raise ValueError(f"head table line {lineno}: unknown direction {direction!r}")
-                rules.setdefault(parent, []).append((direction, labels))
+        for lineno, line in data_lines(source):
+            fields = line.split()
+            if len(fields) < 2:
+                raise ValueError(f"head table line {lineno}: expected 'PARENT direction ...'")
+            parent, direction, *labels = fields
+            direction = {"left": LTR, "right": RTL}.get(direction, direction)
+            if direction not in (LTR, RTL):
+                raise ValueError(f"head table line {lineno}: unknown direction {direction!r}")
+            rules.setdefault(parent, []).append((direction, labels))
         return cls(rules)
 
 
@@ -229,32 +221,24 @@ class TagClassification:
     @classmethod
     def load(cls, source):
         classes = {}
-        with _open_read(source) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2 or fields[1] not in (NORMAL, CLOSED, PUNCT):
-                    raise ValueError(f"tag classification line {lineno}: {line!r}")
-                classes[fields[0]] = fields[1]
+        for lineno, line in data_lines(source):
+            fields = line.split("\t")
+            if len(fields) != 2 or fields[1] not in (NORMAL, CLOSED, PUNCT):
+                raise ValueError(f"tag classification line {lineno}: {line!r}")
+            classes[fields[0]] = fields[1]
         return cls(classes)
 
 
 def load_upos_map(source) -> dict:
     """Two-column fine-to-universal tag map (tab separated)."""
     mapping = {}
-    with _open_read(source) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) == 1:
-                fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(f"universal tag map line {lineno}: {line!r}")
-            mapping[fields[0]] = fields[1]
+    for lineno, line in data_lines(source):
+        fields = line.split("\t")
+        if len(fields) == 1:
+            fields = line.split()
+        if len(fields) != 2:
+            raise ValueError(f"universal tag map line {lineno}: {line!r}")
+        mapping[fields[0]] = fields[1]
     return mapping
 
 

@@ -6,9 +6,20 @@ coordinates at the moment they are updated.
 """
 
 import json
+import math
 import zipfile
 
 import numpy as np
+
+
+def _checked(name, value, positive=False):
+    """``value`` as a float; refused unless finite and >= 0, or > 0 when
+    ``positive``, since any other step size or strength trains NaN or
+    growing weights."""
+    value = float(value)
+    if not math.isfinite(value) or value < 0 or positive and value == 0:
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+    return value
 
 
 class WeightStore:
@@ -22,15 +33,24 @@ class WeightStore:
         if dim <= 0 or dim & (dim - 1):
             raise ValueError(f"dimension count must be a power of two, got {dim}")
         self.dim = dim
-        self.eta = float(eta)
-        self.lam = float(lam)
-        self.delta = float(delta)
+        self.eta = _checked("eta", eta, positive=True)
+        self.lam = lam
+        self.delta = _checked("delta", delta)
         self.dtype = np.dtype(dtype)
         self.weights = np.zeros(dim, dtype=self.dtype)
         self.gradsq = np.zeros(dim, dtype=self.dtype)
         self.config_digest = ""
         self.extra = {}
         self.blobs = {}
+
+    @property
+    def lam(self):
+        """The L1 strength; every value set is checked."""
+        return self._lam
+
+    @lam.setter
+    def lam(self, value):
+        self._lam = _checked("L1 strength lambda", value)
 
     def set_lambda_from_corpus(self, n_sentences, numerator=0.001):
         """The per-corpus L1 strength; numerator 0.001 is the good setting,

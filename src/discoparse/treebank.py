@@ -17,6 +17,7 @@ Readers skip sentences that fail validation with a logged warning unless
 from __future__ import annotations
 
 import contextlib
+import io
 import logging
 import re
 from dataclasses import dataclass
@@ -274,9 +275,24 @@ class DepSentence:
 
 
 def _open_read(source):
+    """A path, an open text file, or file content as bytes."""
+    if isinstance(source, bytes):
+        source = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
     if hasattr(source, "read"):
         return contextlib.nullcontext(source)
     return open(source, encoding="utf-8")
+
+
+def data_lines(source):
+    """(line number, line) for each line of a resource or config file that
+    is neither blank nor a comment.  A comment is "#" alone or "# " and
+    text, so data such as the tag "#" reads back as written.  Lines lose
+    surrounding ASCII space, tab, CR and LF only."""
+    with _open_read(source) as f:
+        for lineno, raw in enumerate(f, 1):
+            line = raw.strip(" \t\r\n")
+            if line and line != "#" and not line.startswith("# "):
+                yield lineno, line
 
 
 def _open_write(dest):

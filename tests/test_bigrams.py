@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discoparse import synthdata
@@ -14,7 +14,6 @@ from discoparse.bigrams import (
     ROOT,
     Bucket,
     BigramAssocModel,
-    PairCounts,
     count_pairs,
     g_squared,
     quantile_cuts,
@@ -34,27 +33,27 @@ def dep(forms, heads):
 
 def test_count_pairs_single_sentence():
     counts = count_pairs([dep(["a", "b"], [2, 0])])
-    assert counts.pairs[("b", "a")] == 1
-    assert counts.pairs[(ROOT, "b")] == 1
+    assert counts[("b", "a")] == 1
+    assert counts[(ROOT, "b")] == 1
     # every token contributes exactly one pair
-    assert counts.total == 2
+    assert counts.total() == 2
 
 
 def test_count_pairs_additivity():
     one = count_pairs([dep(["a", "b"], [2, 0])])
     two = count_pairs([dep(["a", "b"], [2, 0])] * 2)
-    assert two.pairs == Counter({k: 2 * v for k, v in one.pairs.items()})
+    assert two == Counter({k: 2 * v for k, v in one.items()})
 
 
 def test_count_pairs_total_is_token_count():
     rng = random.Random(9)
     sents = [synthdata.random_dep_sentence(rng) for _ in range(1000)]
     counts = count_pairs(sents)
-    assert counts.total == sum(len(s.tokens) for s in sents)
+    assert counts.total() == sum(len(s.tokens) for s in sents)
 
 
 def test_l1_direct_ratio():
-    counts = PairCounts(Counter({("h", "d"): 3, ("h", "x"): 9}))
+    counts = Counter({("h", "d"): 3, ("h", "x"): 9})
     model = score_counts(counts, "l1")
     assert model.scores["h"]["d"] == pytest.approx(0.25, abs=1e-12)
     assert model.scores["h"]["x"] == pytest.approx(0.75, abs=1e-12)
@@ -64,7 +63,7 @@ def test_l1_sums_to_one_per_head():
     rng = random.Random(13)
     pairs = Counter({(f"h{rng.randrange(5)}", f"d{rng.randrange(30)}"): rng.randint(2, 50)
                      for _ in range(200)})
-    model = score_counts(PairCounts(pairs), "l1", min_count=2)
+    model = score_counts(pairs, "l1", min_count=2)
     for head, per in model.scores.items():
         assert math.fsum(per.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -95,7 +94,7 @@ def test_g_squared_nonnegative(o11, o12, o21, o22):
 
 
 def test_score_counts_min_count_pruning():
-    counts = PairCounts(Counter({("h", "d"): 5, ("h", "rare"): 1}))
+    counts = Counter({("h", "d"): 5, ("h", "rare"): 1})
     model = score_counts(counts, "raw")
     assert "rare" not in model.scores["h"]
     keep_all = score_counts(counts, "raw", min_count=1)
@@ -108,15 +107,15 @@ def test_score_counts_min_count_pruning():
 def test_score_counts_drops_independent_ll_pairs():
     # a perfectly independent pair scores 0 and is therefore absent
     pairs = Counter({("h", "d"): 2, ("h", "x"): 18, ("g", "d"): 18, ("g", "x"): 162})
-    model = score_counts(PairCounts(pairs), "ll")
+    model = score_counts(pairs, "ll")
     assert model.query("h", "d") == Bucket.NO
 
 
 def test_score_counts_errors():
     with pytest.raises(ValueError, match="scorer"):
-        score_counts(PairCounts(), "chi2")
+        score_counts(Counter(), "chi2")
     with pytest.raises(ValueError, match="empty"):
-        score_counts(PairCounts(Counter({("h", "d"): 1})), "ll")
+        score_counts(Counter({("h", "d"): 1}), "ll")
 
 
 def bucket_model(values):
@@ -179,7 +178,7 @@ def test_model_save_load_roundtrip(tmp_path):
     pairs = Counter({(f"h{rng.randrange(6)}", f"d{rng.randrange(40)}"): rng.randint(2, 99)
                      for _ in range(300)})
     for scorer in ("raw", "l1", "ll"):
-        model = score_counts(PairCounts(pairs), scorer)
+        model = score_counts(pairs, scorer)
         path = tmp_path / f"model_{scorer}.txt"
         model.save(path)
         back = BigramAssocModel.load(path)
@@ -193,3 +192,42 @@ def test_model_load_rejects_garbage():
         BigramAssocModel.load(io.StringIO("not a model\n"))
     with pytest.raises(ValueError, match="scorer"):
         BigramAssocModel.load(io.StringIO("scorer\tchi2\npairs\t0\nthresholds\t0\n"))
+
+
+GOOD_MODEL = "scorer\traw\npairs\t2\nh\td\t3.0\nh\tx\t1.0\nthresholds\t1\nh\t3.0\t1.0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # a scored head without thresholds would raise KeyError in query
+    (GOOD_MODEL.replace("thresholds\t1\nh\t3.0\t1.0\n", "thresholds\t0\n"),
+     r"line 3: head 'h' has no thresholds"),
+    (GOOD_MODEL + "g\t2.0\t1.0\n", r"line 7: data after the last threshold"),
+    (GOOD_MODEL.replace("h\tx\t1.0", "h\t1.0"), r"line 4: expected 3 tab-separated fields"),
+    (GOOD_MODEL.replace("h\tx\t1.0", "h\tx\tmany"), r"line 4: could not convert"),
+    (GOOD_MODEL.replace("pairs\t2", "pairs\ttwo"), r"line 2: invalid literal"),
+    ("# config abc\nscorer\traw\npairs\t2\nh\td\t3.0\n", r"ends early, after line 4"),
+], ids=["no-thresholds", "trailing-data", "short-pair", "bad-score", "bad-count", "ends-early"])
+def test_model_load_refuses_what_query_would_trip_over(text, message):
+    with pytest.raises(ValueError, match=message):
+        BigramAssocModel.load(io.StringIO(text))
+
+
+# forms without control characters or ASCII spaces; "#"-initial and NBSP-bearing
+# ones included
+FORMS = st.text(st.characters(exclude_categories=("C",), exclude_characters=" "),
+                min_size=1, max_size=4)
+FORMS = st.one_of(FORMS, FORMS.map("#".__add__), st.just("#"))
+SCORES = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(scorer="raw", scores={"#": {"#": 2.0, "#x": 1.0}}, cuts=(2.0, 1.0))
+@given(scorer=st.sampled_from(("raw", "l1", "ll")),
+       scores=st.dictionaries(FORMS, st.dictionaries(FORMS, SCORES, min_size=1, max_size=4),
+                              max_size=5),
+       cuts=st.tuples(SCORES, SCORES))
+def test_model_save_load_roundtrip_any_forms(scorer, scores, cuts):
+    model = BigramAssocModel(scorer, scores, {head: cuts for head in scores})
+    out = io.StringIO()
+    model.save(out, header="config abc")
+    assert BigramAssocModel.load(io.StringIO(out.getvalue())) == model

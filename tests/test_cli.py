@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from discoparse import cli
 from discoparse.bigrams import BigramAssocModel
+from discoparse.headrules import PUNCT, TagClassification
+from discoparse.learner import WeightStore
 from discoparse.synthdata import toy_corpus
 from discoparse.treebank import read_export, write_conll, write_discbracket, write_export
 
@@ -140,6 +143,9 @@ def test_cluster_check(tmp_path, capsys):
     bad.write_text("01x1\thund\n")
     assert cli.main(["cluster-check", str(bad)]) == 0  # skipped, logged
     assert cli.main(["cluster-check", str(bad), "--strict"]) == 1
+    commented = tmp_path / "commented.txt"
+    commented.write_text("# config abc\n0101\thund\t12\n")
+    assert cli.main(["cluster-check", str(commented), "--strict"]) == 0
 
 
 def test_exit_codes(tmp_path):
@@ -274,6 +280,68 @@ def test_parse_ignores_resource_comment_lines(trained_models, toy_files, tmp_pat
                    str(trained_models["held"]), str(out), "--head-table", str(table)])
     assert rc == 0
     assert _trees_text(out) == _trees_text(trained_models["plain"]["expected"])
+
+
+def test_parse_head_table_check_reads_what_the_loader_reads(trained_models, toy_files, tmp_path):
+    model, held = str(trained_models["plain"]["model"]), str(trained_models["held"])
+    want = tmp_path / "want.export"
+    assert cli.main(["parse", model, held, str(want),
+                     "--head-table", str(toy_files["table"])]) == 0
+    text = toy_files["table"].read_text()
+    table, out = tmp_path / "heads.txt", tmp_path / "pred.export"
+    table.write_text(text + "\n")
+    assert cli.main(["parse", model, held, str(out), "--head-table", str(table)]) == 0
+    assert out.read_bytes() == want.read_bytes()
+    # a changed rule, a missing last rule and an extra rule
+    for changed in (text.replace("left-to-right", "right-to-left", 1),
+                    text[:text.rstrip("\n").rindex("\n") + 1], text + "XP left-to-right NN\n"):
+        table.write_text(changed)
+        assert cli.main(["parse", model, held, str(tmp_path / "no.export"),
+                         "--head-table", str(table)]) == 1
+    assert not (tmp_path / "no.export").exists()
+
+
+def test_pound_tag_survives_induce_bigrams_and_train(tmp_path):
+    """The Penn tag "#" starts data lines of the tag classes and bigram
+    model; both must read back as data, not as comments."""
+    def pound(tokens):
+        return [dataclasses.replace(t, form="#", pos="#") if t.form == "mit" else t
+                for t in tokens]
+    corpus = toy_corpus(40, random.Random(1))
+    for tree, dep in corpus:
+        tree.tokens, dep.tokens = pound(tree.tokens), pound(dep.tokens)
+    const, conll = tmp_path / "pound.export", tmp_path / "pound.conll"
+    write_export([t for t, _ in corpus], const)
+    write_conll([d for _, d in corpus], conll)
+    table, tags, bigrams = tmp_path / "heads.txt", tmp_path / "tags.txt", tmp_path / "assoc.txt"
+    assert cli.main(["induce-heads", str(const), str(conll),
+                     "--out-table", str(table), "--out-tags", str(tags)]) == 0
+    assert "#\tpunctuation\n" in tags.read_text()
+    assert cli.main(["bigram-build", str(conll), str(bigrams)]) == 0
+    model = tmp_path / "pound.npz"
+    assert cli.main(["train", str(const), "--head-table", str(table), "--tags", str(tags),
+                     "--bigrams", str(bigrams), "--model", str(model),
+                     "--epochs", "2", "--dim", str(2 ** 16)]) == 0
+    bundled = TagClassification.load(WeightStore.load(model).blobs["tags"])
+    assert bundled.of("#") == PUNCT
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eta", "nan"), ("--delta", "-5"), ("--epochs", "0"), ("--l1", "-1")])
+def test_train_refuses_values_that_break_training(toy_files, tmp_path, flag, value):
+    model = tmp_path / "m.npz"
+    assert cli.main(["train", str(toy_files["const"]), "--head-table", str(toy_files["table"]),
+                     "--model", str(model), "--dim", str(2 ** 16), flag, value]) == 1
+    assert not model.exists()
+
+
+def test_config_key_after_hash_is_a_key(toy_files, tmp_path, caplog):
+    # only "#" alone or "# " and text is a comment
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n#\n#epochs=3\n")
+    assert cli.main(["eval", str(toy_files["const"]), str(toy_files["const"]),
+                     "--config", str(cfg)]) == 1
+    assert "['#epochs']" in caplog.text
 
 
 def test_parse_refuses_dense_model(trained_models, tmp_path):

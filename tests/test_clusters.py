@@ -2,7 +2,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discoparse.clusters import (
@@ -21,15 +21,13 @@ from discoparse.treebank import Token
 def test_load_and_lookup():
     lex = load_clusters(io.StringIO("0110\tHaus\t42\n10\tder\t999\n"))
     assert lex.lookup("Haus") == "0110"
-    assert lex.counts["Haus"] == 42
     assert lex.lookup("nie_gesehen") == UNK
-    assert "der" in lex and len(lex) == 2
+    assert lex.lookup("der") == "10" and len(lex) == 2
 
 
 def test_count_column_is_optional():
     lex = load_clusters(io.StringIO("0110\tHaus\n"))
     assert lex.lookup("Haus") == "0110"
-    assert "Haus" not in lex.counts
 
 
 def test_prefix_examples():
@@ -97,3 +95,24 @@ def test_coarsening_respects_refinement(p1, p2):
     # equal 6-bit prefixes force equal 4-bit prefixes
     if prefix(p1, 6) == prefix(p2, 6):
         assert prefix(p1, 4) == prefix(p2, 4)
+
+
+# forms without control characters or ASCII spaces; "#"-initial and
+# NBSP-bearing ones included
+FORMS = st.text(st.characters(exclude_categories=("C",), exclude_characters=" "),
+                min_size=1, max_size=4)
+FORMS = st.one_of(FORMS, FORMS.map("#".__add__), st.just("#"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(entries={"#": ("0", None), "#x ": ("1", 5)})
+@given(entries=st.dictionaries(
+    FORMS, st.tuples(st.text("01", min_size=1, max_size=12),
+                     st.none() | st.integers(0, 10 ** 9)),
+    max_size=6))
+def test_written_cluster_file_loads_back(entries):
+    text = "# config abc\n" + "".join(
+        f"{path}\t{form}" + ("" if count is None else f"\t{count}") + "\n"
+        for form, (path, count) in entries.items())
+    lex = load_clusters(io.StringIO(text), strict=True)
+    assert lex.paths == {form: path for form, (path, _) in entries.items()}

@@ -472,6 +472,13 @@ def test_train_rejects_empty_corpus():
         parser.train([])
 
 
+def test_train_refuses_zero_epochs():
+    trees = [t for t, _ in toy_corpus(2, random.Random(3))]
+    parser = make_parser(label_inventory(trees))
+    with pytest.raises(ValueError, match="epochs"):
+        parser.train(trees, epochs=0)
+
+
 # ------------------------------------------------------------ properties
 
 def reference_applicable(inventory, state, i):

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discoparse import synthdata
@@ -44,7 +44,6 @@ def test_observed_heads_hand_example():
     obs = {o.parent_label: o for o in observed_heads(tree, dep)}
     assert obs["S"].child_labels == ["NP", "VVFIN"]
     assert obs["S"].head_positions == frozenset({1})
-    assert obs["S"].head_tokens == frozenset({2})
     assert obs["NP"].child_labels == ["ART", "NN"]
     assert obs["NP"].head_positions == frozenset({1})
 
@@ -179,8 +178,8 @@ def test_find_head_child_label_priority_beats_position():
     assert table.find_head_child("NP", ["NE", "NN"]) == 1
     assert table.find_head_child("NP", ["NE", "XY"]) == 0
     assert table.find_head_child("NP", ["XY", "ZZ"], default=0) == 0
-    assert table.find_head_child_or_none("NP", ["XY", "ZZ"]) is None
-    assert table.find_head_child_or_none("??", ["NN"]) is None
+    assert table.find_head_child("NP", ["XY", "ZZ"], None) is None
+    assert table.find_head_child("??", ["NN"], None) is None
 
 
 def test_find_head_child_rtl_scans_from_the_right():
@@ -288,3 +287,39 @@ def test_induced_table_always_picks_a_valid_child(seed):
         for obs in observed_heads(tree, dep):
             k = table.find_head_child(obs.parent_label, obs.child_labels)
             assert 0 <= k < len(obs.child_labels)
+
+
+# labels as the treebank readers carry them, "#"-initial ones included
+LABELS = st.text(st.characters(exclude_categories=("C", "Z")), min_size=1, max_size=4)
+LABELS = st.one_of(LABELS, LABELS.map("#".__add__), st.just("#"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(rules={"#X": [(RTL, ["#", "NN"]), (LTR, [])]})
+@example(rules={"#": [(LTR, ["NN"])]})
+@given(rules=st.dictionaries(
+    LABELS, st.lists(st.tuples(st.sampled_from((LTR, RTL)), st.lists(LABELS, max_size=3)),
+                     min_size=1, max_size=3),
+    max_size=4))
+def test_head_table_save_load_roundtrip(rules):
+    table = HeadTable(rules)
+    out = io.StringIO()
+    if "#" in rules:
+        # its rule line would start as a comment does
+        with pytest.raises(ValueError, match="comment"):
+            table.save(out)
+        return
+    table.save(out, header="config abc")
+    assert HeadTable.load(io.StringIO(out.getvalue())) == table
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(classes={"#": PUNCT, "#NN": NORMAL})
+@given(classes=st.dictionaries(
+    st.one_of(LABELS, st.text(st.characters(exclude_categories=("C",), exclude_characters=" "),
+                              min_size=1, max_size=4)),
+    st.sampled_from((NORMAL, CLOSED, PUNCT)), max_size=6))
+def test_tag_classes_save_load_roundtrip(classes):
+    out = io.StringIO()
+    TagClassification(classes).save(out, header="config abc")
+    assert TagClassification.load(io.StringIO(out.getvalue())) == TagClassification(classes)

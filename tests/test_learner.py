@@ -168,3 +168,23 @@ def test_load_rejects_bad_indices(tmp_path):
         _write_model(bad, meta, index=np.array(index), value=value)
         with pytest.raises(ValueError, match="out of range or repeated"):
             WeightStore.load(bad)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("eta", float("nan")), ("eta", 0.0), ("eta", -0.1), ("eta", float("inf")),
+    ("delta", -5.0), ("delta", float("nan")), ("lam", -1.0), ("lam", float("inf")),
+])
+def test_store_refuses_values_that_break_training(name, value):
+    # "lam" also matches the "L1 strength lambda" of the message
+    with pytest.raises(ValueError, match=name):
+        WeightStore(16, **{name: value})
+
+
+def test_every_lambda_entry_is_checked():
+    store = WeightStore(16, delta=0.0)
+    for set_lambda in (lambda: setattr(store, "lam", -1.0),
+                       lambda: store.set_lambda_from_corpus(10, -0.001),
+                       lambda: store.set_lambda_from_dim(float("nan"))):
+        with pytest.raises(ValueError, match="lambda"):
+            set_lambda()
+    assert store.lam == 0.0
