@@ -157,9 +157,11 @@ class FeatureExtractor:
     """Pairs a config (and optional bigram model) with a bounded index cache.
 
     The cache maps a template instance (its parts tuple) to its hash index
-    under every action id of the fixed inventory.  A fill hashes the parts
-    once and continues FNV-1a from that state over each action id's
-    0x1F-prefixed bytes, which gives ``hash_index`` by construction.
+    under every action id of the fixed inventory.  A window's misses are
+    filled in one batch: each missed instance's parts are hashed once in
+    Python, then FNV-1a continues from every such state over every action
+    id's 0x1F-prefixed bytes at once, one byte column at a time in
+    wrapping ``uint64`` numpy, which gives ``hash_index`` by construction.
     """
 
     def __init__(self, config, action_ids, bigram_model=None):
@@ -167,22 +169,49 @@ class FeatureExtractor:
         self.model = bigram_model
         self._actions = tuple(action_ids)
         self._column = {a: k for k, a in enumerate(self._actions)}
-        self._suffixes = [("\x1f" + a).encode("utf-8") for a in self._actions]
+        # row j: byte j of every action's suffix, and whether it has one
+        suffixes = [("\x1f" + a).encode("utf-8") for a in self._actions]
+        lengths = np.array([len(s) for s in suffixes])
+        self._live = np.arange(lengths.max())[:, None] < lengths
+        self._bytes = np.array([list(s.ljust(lengths.max(), b"\0")) for s in suffixes],
+                               dtype=np.uint64).T
         self._cap = max(1, _CACHE_BYTES // (8 * len(self._actions) + 300))
         self._cache = {}
+        # FNV states of one fill and their next products, grown to the most
+        # misses one window has had.  A fill allocates only the rows the
+        # cache keeps, one small array each: a block per window, held by
+        # its cached rows, split the heap's free space between the weights
+        self._h = self._step = np.empty((0, len(self._actions)), dtype=np.uint64)
+
+    def _fill(self, misses) -> list:
+        """The index vector of each template instance in ``misses`` under
+        every action of the inventory."""
+        m = len(misses)
+        if m > len(self._h):
+            self._h, self._step = np.empty((2, m, len(self._actions)), dtype=np.uint64)
+        h, step = self._h[:m], self._step[:m]
+        h[:] = np.array([_fnv1a("\x1f".join(parts).encode("utf-8")) for parts in misses],
+                        dtype=np.uint64)[:, None]
+        # array (not scalar) uint64 products wrap mod 2**64 without a warning
+        prime = np.uint64(_FNV_PRIME)
+        for byte, live in zip(self._bytes, self._live):
+            np.bitwise_xor(h, byte, out=step)
+            step *= prime
+            np.copyto(h, step, where=live)
+        h &= np.uint64(self.config.dim - 1)
+        return [row.copy() for row in h.view(np.int64)]
 
     def extract_many(self, views, action_ids) -> np.ndarray:
         """The A x T index matrix: row k holds every template's index
         under ``action_ids[k]``."""
-        cache, mask = self._cache, self.config.dim - 1
-        vecs = []
-        for parts in template_parts(views, self.config, self.model):
-            vec = cache.get(parts)
-            if vec is None:
+        cache = self._cache
+        tpls = template_parts(views, self.config, self.model)
+        vecs = [cache.get(parts) for parts in tpls]
+        missed = [k for k, vec in enumerate(vecs) if vec is None]
+        if missed:
+            # the window keeps its rows in ``vecs``, so a clear loses none
+            for k, vec in zip(missed, self._fill([tpls[k] for k in missed])):
                 if len(cache) >= self._cap:
                     cache.clear()
-                h = _fnv1a("\x1f".join(parts).encode("utf-8"))
-                vec = cache[parts] = np.array([_fnv1a(s, h) & mask for s in self._suffixes],
-                                              dtype=np.int64)
-            vecs.append(vec)
+                vecs[k] = cache[tpls[k]] = vec
         return np.array(vecs).T[[self._column[a] for a in action_ids]]

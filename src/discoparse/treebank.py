@@ -672,6 +672,10 @@ def _dep_sentence_from_rows(rows, sent_id):
                               line=lineno, sent_id=sent_id) from None
         if token_id != k + 1:
             raise FormatError(f"unexpected token id {idv!r}", line=lineno, sent_id=sent_id)
+        # split() breaks at every str.isspace() character, no-break space too
+        if form.split() != [form]:
+            raise FormatError(f"form {form!r} is empty or holds whitespace",
+                              line=lineno, sent_id=sent_id)
         try:
             heads.append(int(head))
         except ValueError:
@@ -726,7 +730,7 @@ def write_conll(sentences, dest, header=None):
             for k, tok in enumerate(sent.tokens):
                 f.write("\t".join((
                     str(k + 1),
-                    tok.form,
+                    _check_field(tok.form, "form"),
                     tok.lemma if tok.lemma else "_",
                     tok.cpos if tok.cpos else (tok.pos or "_"),
                     tok.pos if tok.pos else "_",

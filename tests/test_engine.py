@@ -537,6 +537,28 @@ def test_decoder_on_gold_paths_keeps_views_and_applicable(seed, n_tokens, degree
     assert state_to_tree(dec.state, tree.tokens) == tree
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_tokens=st.integers(2, 12),
+       degree=st.integers(1, 3))
+def test_incremental_rescoring_equals_full_rescoring_on_random_walks(seed, n_tokens, degree):
+    rng = random.Random(seed)
+    tokens = random_tree(rng, n_tokens=n_tokens, max_block_degree=degree).tokens
+    parser = _view_parser()
+    weights = np.random.default_rng(seed).standard_normal(parser.store.weights.size)
+    parser.store.weights[:] = np.where(weights == 0, 1, weights)
+    dec = _Decoder(parser, tokens)
+    for _ in range(3 * n_tokens):
+        if dec.best() is None:
+            break
+        dec.apply(*rng.choice([(i, a) for i, e in enumerate(dec.entries) for a in e.actions]))
+        for i, entry in enumerate(dec.entries):
+            if entry is not None:
+                fresh = parser._entry(dec.state, dec.views, i)
+                assert entry.actions == fresh.actions and entry.k == fresh.k
+                assert np.array_equal(entry.rows, fresh.rows)
+                assert np.array_equal(entry.scores, fresh.scores)
+
+
 def yield_of(item):
     """An item's tokens by a walk over its children."""
     if not item.is_phrase:

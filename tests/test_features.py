@@ -179,6 +179,49 @@ def test_extract_many_equals_hash_index_cold_warm_and_cleared(name, windows, job
         assert len(ex._cache) <= ex._cap
 
 
+# ids of different byte lengths, with shared prefixes and multi-byte UTF-8
+_RAGGED = ["A", "AB", "Ä", "ATTACH:left", "ÄÖ", ""]
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_extract_many_over_ragged_action_ids(name):
+    config, model = _CONFIGS[name]
+    ex = FeatureExtractor(config, _RAGGED, model)
+    for w in (views_for("ABCD"), views_for("ÄBÖ\x1f"), views_for("ABCD")):
+        tpls = template_parts(w, config, model)
+        for actions in (_RAGGED, _RAGGED[::-1], ["Ä", "A"]):
+            assert ex.extract_many(w, actions).tolist() == [
+                [hash_index(p, a, config.dim) for p in tpls] for a in actions]
+
+
+def test_cache_cleared_inside_one_windows_batch():
+    config, model = _CONFIGS["bigrams"]
+    ex = FeatureExtractor(config, _RAGGED, model)
+    ex._cap = 5
+    w = views_for("ABCD")
+    tpls = template_parts(w, config, model)
+    assert len(tpls) > 2 * ex._cap      # one cold window clears the cache twice
+    assert ex.extract_many(w, _RAGGED).tolist() == [
+        [hash_index(p, a, config.dim) for p in tpls] for a in _RAGGED]
+    assert 0 < len(ex._cache) <= ex._cap
+    for parts, vec in ex._cache.items():
+        assert vec.tolist() == [hash_index(parts, a, config.dim) for a in _RAGGED]
+
+
+def test_a_cold_window_hashes_each_template_instance_once(monkeypatch):
+    config, model = _CONFIGS["clusters"]
+    ex = FeatureExtractor(config, _RAGGED, model)
+    hashed = []
+    fnv1a = features._fnv1a
+    monkeypatch.setattr(features, "_fnv1a", lambda data, *h: hashed.append(data) or fnv1a(data, *h))
+    w = views_for("ABCD")
+    ex.extract_many(w, _RAGGED)
+    assert len(hashed) == len(template_parts(w, config, model))
+    hashed.clear()
+    ex.extract_many(w, ["A"])
+    assert hashed == []
+
+
 def test_cache_cap_follows_the_byte_budget(monkeypatch):
     cfg = FeatureConfig(dim=2 ** 16)
     few = FeatureExtractor(cfg, ["A", "B"])
@@ -193,6 +236,21 @@ def test_fnv1a_reference_vectors():
     assert _fnv1a(b"") == 0xCBF29CE484222325
     assert _fnv1a(b"a") == 0xAF63DC4C8601EC8C
     assert _fnv1a(b"foobar") == 0x85944171F73967E8
+
+
+def reference_fnv1a_64(data):
+    """FNV-1a 64 as published: offset basis, then xor and multiply per byte."""
+    h = 14695981039346656037
+    for byte in data:
+        h = (h ^ byte) * 1099511628211 % 2 ** 64
+    return h
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parts=st.lists(_FIELD, min_size=1, max_size=5), action=_FIELD, bits=st.integers(1, 64))
+def test_hash_index_equals_an_independent_fnv1a(parts, action, bits):
+    data = "\x1f".join((*parts, action)).encode()
+    assert hash_index(tuple(parts), action, 2 ** bits) == reference_fnv1a_64(data) % 2 ** bits
 
 
 def test_hash_index_stability_and_range():

@@ -310,6 +310,18 @@ def test_conll_skipped_token_id_named():
         read_conll(io.StringIO(text), strict=True)
 
 
+@pytest.mark.parametrize("form", ["", " b", "a b", "a\u00a0b"])
+def test_conll_form_empty_or_with_whitespace_refused(form):
+    bad = f"1\ta\t_\t_\tX\t_\t0\troot\t_\t_\n2\t{form}\t_\t_\tX\t_\t1\tdep\t_\t_\n\n"
+    good = "1\tc\t_\t_\tX\t_\t0\troot\t_\t_\n\n"
+    with pytest.raises(FormatError, match=r"form .* is empty or holds whitespace.*line 2"):
+        read_conll(io.StringIO(bad + good), strict=True)
+    (sent,) = read_conll(io.StringIO(bad + good))
+    assert [t.form for t in sent.tokens] == ["c"]
+    with pytest.raises(ValueError, match="cannot serialize form"):
+        write_conll([DepSentence([Token(index=0, form=form)], [0], ["root"])], io.StringIO())
+
+
 def test_conll_roundtrip_byte_identical_mandatory_columns():
     rng = random.Random(303)
     sentences = [synthdata.random_dep_sentence(rng) for _ in range(10_000)]
